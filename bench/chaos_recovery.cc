@@ -328,11 +328,12 @@ bool RunDetectorTrial(bool suppress_only, uint64_t seed, DetectorResult* out) {
   if (evicted_at == 0) return false;
   out->detect_us.Record(evicted_at - wedge_at);
   ++out->evictions;
-  auto counters = cluster.cluster_counters();
-  out->dead_letters += counters.dead_letters;
-  out->deadline_timeouts += counters.deadline_timeouts;
-  out->failover_resubmitted += counters.failover_resubmitted;
   out->metrics = harness.SnapshotMetrics();
+  out->dead_letters += out->metrics.counters.at("cluster.dead_letters");
+  out->deadline_timeouts +=
+      out->metrics.counters.at("cluster.deadline_timeouts");
+  out->failover_resubmitted +=
+      out->metrics.counters.at("cluster.failover_resubmitted");
   ++out->trials;
   return true;
 }

@@ -63,6 +63,16 @@ class ScaleActor : public PersistentActor<ScaleState> {
   int64_t Value() { return state().value; }
 };
 
+/// Client sends cross the client->silo boundary on the wire lane, the lane
+/// real client traffic takes, so the counter's methods are registered.
+Status RegisterWireMethods() {
+  MethodRegistry& wire = MethodRegistry::Global();
+  AODB_RETURN_NOT_OK(
+      wire.Register(ScaleActor::kTypeName, &ScaleActor::Add, "ScaleActor.Add"));
+  return wire.Register(ScaleActor::kTypeName, &ScaleActor::Value,
+                       "ScaleActor.Value", /*idempotent=*/true);
+}
+
 int64_t EnvInt(const char* name, int64_t fallback) {
   const char* v = std::getenv(name);
   return (v != nullptr && *v != '\0') ? std::atoll(v) : fallback;
@@ -331,6 +341,11 @@ int main(int argc, char** argv) {
       directory_mode = true;
       shard_counts = {n};
     }
+  }
+  aodb::Status registered = aodb::RegisterWireMethods();
+  if (!registered.ok()) {
+    std::fprintf(stderr, "%s\n", registered.ToString().c_str());
+    return 1;
   }
   return directory_mode ? aodb::RunDirectoryMode(shard_counts)
                         : aodb::RunClusterMode();

@@ -6,10 +6,12 @@
 
 #include <cstdio>
 
+#include "actor/method_registry.h"
 #include "aodb/index.h"
 #include "aodb/query.h"
 #include "aodb/registry.h"
 #include "aodb/txn.h"
+#include "aodb/wire.h"
 #include "sim/sim_harness.h"
 
 using namespace aodb;
@@ -61,7 +63,28 @@ class DepotActor : public TransactionalActor {
   int64_t staged_out_ = 0;
 };
 
+/// Registers the methods that cross silo boundaries (they travel the
+/// serialized wire lane): the registry and index actors, the transaction
+/// protocol, and the depot's own methods.
+Status RegisterWireMethods() {
+  AODB_RETURN_NOT_OK(RegisterAodbCoreWireMethods());
+  AODB_RETURN_NOT_OK(RegisterTransactionalWireMethods(DepotActor::kTypeName));
+  MethodRegistry& wire = MethodRegistry::Global();
+  AODB_RETURN_NOT_OK(
+      wire.Register(DepotActor::kTypeName, &DepotActor::Init, "Depot.Init"));
+  AODB_RETURN_NOT_OK(wire.Register(DepotActor::kTypeName, &DepotActor::Stock,
+                                   "Depot.Stock", /*idempotent=*/true));
+  return wire.Register(DepotActor::kTypeName, &DepotActor::Region,
+                       "Depot.Region", /*idempotent=*/true);
+}
+
 int main() {
+  Status registered = RegisterWireMethods();
+  if (!registered.ok()) {
+    std::fprintf(stderr, "%s\n", registered.ToString().c_str());
+    return 1;
+  }
+
   RuntimeOptions options;
   options.num_silos = 2;
   options.workers_per_silo = 2;

@@ -4,12 +4,14 @@
 //   $ ./build/examples/quickstart
 //
 // Demonstrates the core API surface: ActorBase, kTypeName, Cluster
-// registration, ActorRef::Call / Tell, futures, and virtual-actor
-// perpetuity (actors are addressed by name and activated on demand).
+// registration, wire-method registration, ActorRef::Call / Tell, futures,
+// and virtual-actor perpetuity (actors are addressed by name and activated
+// on demand).
 
 #include <cstdio>
 
 #include "actor/actor_ref.h"
+#include "actor/method_registry.h"
 #include "actor/runtime.h"
 
 using namespace aodb;
@@ -42,7 +44,33 @@ class DeviceShadow : public ActorBase {
   int64_t reports_ = 0;
 };
 
+/// Registers the methods that are called from outside the actor's silo. A
+/// call that crosses a node boundary travels serialized (the wire lane), so
+/// each such method needs a stable name in the MethodRegistry.
+Status RegisterWireMethods() {
+  MethodRegistry& wire = MethodRegistry::Global();
+  AODB_RETURN_NOT_OK(wire.Register(DeviceShadow::kTypeName,
+                                   &DeviceShadow::Report,
+                                   "DeviceShadow.Report"));
+  AODB_RETURN_NOT_OK(wire.Register(DeviceShadow::kTypeName,
+                                   &DeviceShadow::LastValue,
+                                   "DeviceShadow.LastValue",
+                                   /*idempotent=*/true));
+  AODB_RETURN_NOT_OK(wire.Register(DeviceShadow::kTypeName,
+                                   &DeviceShadow::Reports,
+                                   "DeviceShadow.Reports",
+                                   /*idempotent=*/true));
+  return wire.Register(DeviceShadow::kTypeName, &DeviceShadow::Describe,
+                       "DeviceShadow.Describe", /*idempotent=*/true);
+}
+
 int main() {
+  Status registered = RegisterWireMethods();
+  if (!registered.ok()) {
+    std::fprintf(stderr, "%s\n", registered.ToString().c_str());
+    return 1;
+  }
+
   // A 2-silo cluster on real thread pools (2 worker threads per silo).
   RuntimeOptions options;
   options.num_silos = 2;

@@ -209,7 +209,9 @@ drain_on = micro_time("BM_RealModeTellDrain/8/16/real_time")
 drain_off = micro_time("BM_RealModeTellDrainNoRecorder/8/16/real_time")
 
 snapshot = {
-    "commit": git("rev-parse", "--short", "HEAD"),
+    # "<hash>-dirty" when the measured tree has uncommitted changes on top
+    # of <hash>.
+    "commit": git("describe", "--always", "--dirty"),
     "date": git("show", "-s", "--format=%cI", "HEAD"),
     "host_cores": __import__("os").cpu_count(),
     "micro_runtime": micro,

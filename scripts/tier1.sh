@@ -7,7 +7,9 @@
 #
 # Each leg's test list is declared ONCE below and drives both the build
 # targets and the ctest selection, so a list entry cannot silently rot: a
-# listed binary that the build did not produce fails the leg.
+# listed binary that the build did not produce fails the leg. The asan/tsan
+# test presets in CMakePresets.json carry no filter of their own; these
+# arrays are the single source of the sanitized test lists.
 #
 # The dst leg then sweeps seeded fault schedules through the deterministic
 # chaos explorer (tests/dst_explore.cc): every seed runs the full cluster

@@ -32,6 +32,7 @@ void ActorContext::SetTimer(const std::string& name, Micros period_us,
     env.target = self;
     env.caller_silo = silo;
     env.cost_us = tick_cost_us;
+    env.activation_scoped = true;
     env.fn = [name](ActorBase& a) { a.OnTimer(name); };
     cluster->Send(std::move(env));
     if (auto next = weak_fire.lock()) {

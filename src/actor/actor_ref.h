@@ -24,12 +24,9 @@
 
 namespace aodb {
 
-/// Per-call overrides: simulated CPU cost, wire size of the request, and
-/// deadline budget.
+/// Per-call overrides: simulated CPU cost, deadline budget and shed class.
 struct CallOptions {
   Micros cost_us = kDefaultMessageCostUs;
-  int64_t request_bytes = 128;
-  int64_t response_bytes = 128;
   /// Relative deadline for this call (0 = inherit). Resolution: an explicit
   /// timeout here wins (clamped by any inherited turn deadline); otherwise
   /// the caller's turn deadline is inherited; otherwise
@@ -77,79 +74,78 @@ class ActorRef {
     return CallWith(CallOptions{}, method, std::forward<Args>(args)...);
   }
 
-  /// Call with explicit cost/size options (used by the calibrated workloads).
+  /// Call with explicit cost/deadline/priority options (used by the
+  /// calibrated workloads).
   template <typename R, typename C, typename... MArgs, typename... Args>
   Future<typename internal::CallResult<R>::type> CallWith(
       const CallOptions& opts, R (C::*method)(MArgs...),
       Args&&... args) const {
+    return Dispatch</*kCall=*/true>(opts, method,
+                                    std::forward<Args>(args)...);
+  }
+
+  /// Fire-and-forget invocation: no reply, failures are dropped.
+  template <typename R, typename C, typename... MArgs, typename... Args>
+  void Tell(R (C::*method)(MArgs...), Args&&... args) const {
+    TellWith(CallOptions{}, method, std::forward<Args>(args)...);
+  }
+
+  /// Tell with explicit cost/deadline/priority options.
+  template <typename R, typename C, typename... MArgs, typename... Args>
+  void TellWith(const CallOptions& opts, R (C::*method)(MArgs...),
+                Args&&... args) const {
+    Dispatch</*kCall=*/false>(opts, method, std::forward<Args>(args)...);
+  }
+
+ private:
+  /// Stand-in for the promise of a send without a reply (a tell).
+  struct NoReply {};
+
+  /// The one send path of CallWith and TellWith: builds the envelope (the
+  /// same-silo closure, the wire lane, deadline and trace context), hands it
+  /// to Cluster::Send, and for a call returns the future of its reply.
+  template <bool kCall, typename R, typename C, typename... MArgs,
+            typename... Args>
+  auto Dispatch(const CallOptions& opts, R (C::*method)(MArgs...),
+                Args&&... args) const {
     static_assert(std::is_base_of_v<C, TActor>,
                   "method must belong to the referenced actor type");
     using RT = typename internal::CallResult<R>::type;
-    Promise<RT> promise;
+    std::conditional_t<kCall, Promise<RT>, NoReply> promise;
     Envelope env;
     env.target = id_;
     env.caller_silo = caller_silo_;
     env.principal = principal_;
     env.cost_us = opts.cost_us;
-    env.approx_bytes = opts.request_bytes;
     env.priority = opts.priority;
-    SiloId caller = caller_silo_;
-    Cluster* cluster = cluster_;
-    int64_t response_bytes = opts.response_bytes;
     auto args_tuple =
         std::make_shared<std::tuple<std::decay_t<MArgs>...>>(
             std::forward<Args>(args)...);
-    env.fn = [method, args_tuple, promise, caller, cluster,
-              response_bytes](ActorBase& base) {
+    // The closure lane only ever runs on the caller's own silo (every remote
+    // send takes the wire lane), so a call settles its promise in place.
+    env.fn = [method, args_tuple, promise](ActorBase& base) {
       TActor& actor = static_cast<TActor&>(base);
-      SiloId here = actor.ctx().silo();
-      auto deliver = [cluster, promise, caller, here,
-                      response_bytes](Result<RT>&& r) {
-        cluster->SendReply(here, caller, response_bytes,
-                           [promise, r = std::move(r)]() mutable {
-                             promise.SetResult(std::move(r));
-                           });
-      };
-      if constexpr (IsFuture<R>::value) {
-        std::apply(
-            [&](auto&... unpacked) {
-              (actor.*method)(unpacked...)
-                  .OnReady([deliver](Result<RT>&& r) mutable {
-                    deliver(std::move(r));
-                  });
-            },
-            *args_tuple);
-      } else if constexpr (std::is_void_v<R>) {
-        std::apply([&](auto&... unpacked) { (actor.*method)(unpacked...); },
-                   *args_tuple);
-        deliver(Result<RT>(Unit{}));
+      if constexpr (kCall) {
+        internal::InvokeThen<RT>(
+            actor, method, *args_tuple,
+            [promise](Result<RT>&& r) { promise.SetResult(std::move(r)); });
       } else {
-        R value = std::apply(
-            [&](auto&... unpacked) { return (actor.*method)(unpacked...); },
+        std::apply(
+            [&](auto&... unpacked) { (void)(actor.*method)(unpacked...); },
             *args_tuple);
-        deliver(Result<RT>(std::move(value)));
       }
     };
-    env.fail = [promise](const Status& st) { promise.SetError(st); };
-    env.deadline_us = ResolveDeadline(opts.timeout_us);
-    // Trace propagation: inside a traced turn the active span becomes the
-    // parent of this call; at an untraced root the tracer makes the
-    // sampling decision and this call opens the root span (completed when
-    // the reply settles, below).
-    env.trace = CurrentTraceContext();
-    bool trace_root = false;
-    if (!env.trace.valid() && cluster_->tracer().enabled()) {
-      env.trace = cluster_->tracer().MaybeStartTrace();
-      if (env.trace.sampled) {
-        env.trace.span_id = cluster_->tracer().NewSpanId();
-        trace_root = true;
-      }
+    if constexpr (kCall) {
+      env.fail = [promise](const Status& st) { promise.SetError(st); };
     }
-    TraceContext trace = env.trace;
+    // Tells carry the deadline too (expired ones are dropped before
+    // dispatch) but get no watchdog: there is no promise to settle.
+    env.deadline_us = ResolveDeadline(opts.timeout_us);
     // Wire lane: only when the full signature is wire-encodable (checked at
-    // compile time — unserializable test actors simply never take it) AND
-    // the method is registered. Cluster::Send picks the lane after
-    // placement; arguments are encoded lazily on an actual remote hop.
+    // compile time) AND the method is registered. Cluster::Send picks the
+    // lane after placement; arguments are encoded lazily on an actual
+    // remote hop. A tell has no reply handler, so the receive-side invoker
+    // skips result encoding.
     if constexpr (WireSupported<RT, std::decay_t<MArgs>...>::value) {
       if (const WireMethodInfo* info =
               MethodRegistry::Global().Find(method)) {
@@ -164,121 +160,83 @@ class ActorRef {
           last_args_size = w.size();
           return w.Release();
         };
-        env.on_wire_reply = [promise](Result<std::string>&& frame) {
-          promise.SetResult(DecodeWireReply<RT>(std::move(frame)));
-        };
+        if constexpr (kCall) {
+          env.on_wire_reply = [promise](Result<std::string>&& frame) {
+            promise.SetResult(DecodeWireReply<RT>(std::move(frame)));
+          };
+        }
       }
     }
-    Micros deadline = env.deadline_us;
-    const WireMethodInfo* wire_info = env.wire;
-    cluster_->Send(std::move(env));
-    Future<RT> future = promise.GetFuture();
-    if (trace_root) {
-      Tracer* tracer = &cluster->tracer();
-      Clock* clk = cluster->ExecutorFor(caller)->clock();
-      Micros start_us = clk->Now();
-      ActorId target = id_;
-      std::string name =
-          wire_info != nullptr ? std::string(wire_info->name) : id_.type;
-      future.OnReady([tracer, clk, trace, start_us, caller, target,
-                      name](Result<RT>&&) {
-        SpanRecord rec;
-        rec.trace_id = trace.trace_id;
-        rec.span_id = trace.span_id;
-        rec.parent_span_id = 0;
-        rec.name = name;
-        rec.actor = target.ToString();
-        rec.kind = "client";
-        rec.silo = caller;
-        rec.start_us = start_us;
-        rec.end_us = clk->Now();
-        tracer->Record(std::move(rec));
-      });
-    }
-    if (deadline > 0) {
-      // Caller-side watchdog: whatever happens to the request (wedged silo,
-      // lost reply, slow actor), the promise settles by the deadline.
-      cluster->ExecutorFor(caller)->PostAt(
-          deadline, [cluster, promise, future] {
-            if (future.Ready()) return;
-            cluster->NoteDeadlineExpired();
-            promise.SetError(Status::Timeout("call deadline exceeded"));
-          });
-    }
-    return future;
-  }
-
-  /// Fire-and-forget invocation: no reply, failures are dropped.
-  template <typename R, typename C, typename... MArgs, typename... Args>
-  void Tell(R (C::*method)(MArgs...), Args&&... args) const {
-    TellWith(CallOptions{}, method, std::forward<Args>(args)...);
-  }
-
-  /// Tell with explicit cost/size options.
-  template <typename R, typename C, typename... MArgs, typename... Args>
-  void TellWith(const CallOptions& opts, R (C::*method)(MArgs...),
-                Args&&... args) const {
-    static_assert(std::is_base_of_v<C, TActor>,
-                  "method must belong to the referenced actor type");
-    Envelope env;
-    env.target = id_;
-    env.caller_silo = caller_silo_;
-    env.principal = principal_;
-    env.cost_us = opts.cost_us;
-    env.approx_bytes = opts.request_bytes;
-    env.priority = opts.priority;
-    auto args_tuple =
-        std::make_shared<std::tuple<std::decay_t<MArgs>...>>(
-            std::forward<Args>(args)...);
-    env.fn = [method, args_tuple](ActorBase& base) {
-      TActor& actor = static_cast<TActor&>(base);
-      std::apply([&](auto&... unpacked) { (void)(actor.*method)(unpacked...); },
-                 *args_tuple);
-    };
-    // Tells carry the deadline (expired ones are dropped before dispatch)
-    // but get no watchdog: there is no promise to settle.
-    env.deadline_us = ResolveDeadline(opts.timeout_us);
-    // Trace propagation mirrors CallWith; a root tell has no reply to wait
-    // for, so its root span is recorded immediately (zero duration).
+    // Trace propagation: inside a traced turn the active span becomes the
+    // parent of this send; at an untraced root the tracer makes the
+    // sampling decision and this send opens the root span. A call's root
+    // span completes when the reply settles; a tell has no reply to wait
+    // for, so its root span is recorded now (zero duration).
     env.trace = CurrentTraceContext();
+    bool trace_root = false;
     if (!env.trace.valid() && cluster_->tracer().enabled()) {
       env.trace = cluster_->tracer().MaybeStartTrace();
       if (env.trace.sampled) {
         env.trace.span_id = cluster_->tracer().NewSpanId();
+        trace_root = true;
+      }
+    }
+    const TraceContext trace = env.trace;
+    if constexpr (!kCall) {
+      if (trace_root) {
         Micros now = cluster_->ExecutorFor(caller_silo_)->clock()->Now();
-        SpanRecord rec;
-        rec.trace_id = env.trace.trace_id;
-        rec.span_id = env.trace.span_id;
-        rec.parent_span_id = 0;
-        rec.name = id_.type;
-        rec.actor = id_.ToString();
-        rec.kind = "tell";
-        rec.silo = caller_silo_;
-        rec.start_us = now;
-        rec.end_us = now;
-        cluster_->tracer().Record(std::move(rec));
+        RecordRootSpan(trace, /*wire=*/nullptr, "tell", now, now);
       }
-    }
-    // Wire lane for tells: no reply handler — the receive-side invoker
-    // skips result encoding when the reply hook is empty.
-    if constexpr (WireSupported<std::decay_t<MArgs>...>::value) {
-      if (const WireMethodInfo* info =
-              MethodRegistry::Global().Find(method)) {
-        env.wire = info;
-        env.wire_encode_args = [args_tuple] {
-          thread_local size_t last_args_size = 0;
-          BufWriter w;
-          w.Reserve(last_args_size);
-          WireEncodeTuple(&w, *args_tuple);
-          last_args_size = w.size();
-          return w.Release();
-        };
+      cluster_->Send(std::move(env));
+    } else {
+      const WireMethodInfo* wire_info = env.wire;
+      Micros deadline = env.deadline_us;
+      cluster_->Send(std::move(env));
+      Future<RT> future = promise.GetFuture();
+      if (trace_root) {
+        Clock* clk = cluster_->ExecutorFor(caller_silo_)->clock();
+        Micros start_us = clk->Now();
+        ActorRef self = *this;
+        future.OnReady(
+            [self, trace, wire_info, clk, start_us](Result<RT>&&) {
+              self.RecordRootSpan(trace, wire_info, "client", start_us,
+                                  clk->Now());
+            });
       }
+      if (deadline > 0) {
+        // Caller-side watchdog: whatever happens to the request (wedged
+        // silo, lost reply, slow actor), the promise settles by the
+        // deadline.
+        Cluster* cluster = cluster_;
+        cluster->ExecutorFor(caller_silo_)
+            ->PostAt(deadline, [cluster, promise, future] {
+              if (future.Ready()) return;
+              cluster->NoteDeadlineExpired();
+              promise.SetError(Status::Timeout("call deadline exceeded"));
+            });
+      }
+      return future;
     }
-    cluster_->Send(std::move(env));
   }
 
- private:
+  /// Records the root span of a sampled send this ref opened, named after
+  /// `wire` when given, else after the actor type.
+  void RecordRootSpan(const TraceContext& trace, const WireMethodInfo* wire,
+                      const char* kind, Micros start_us,
+                      Micros end_us) const {
+    SpanRecord rec;
+    rec.trace_id = trace.trace_id;
+    rec.span_id = trace.span_id;
+    rec.parent_span_id = 0;
+    rec.name = wire != nullptr ? wire->name : id_.type;
+    rec.actor = id_.ToString();
+    rec.kind = kind;
+    rec.silo = caller_silo_;
+    rec.start_us = start_us;
+    rec.end_us = end_us;
+    cluster_->tracer().Record(std::move(rec));
+  }
+
   /// Absolute deadline for a call sent now: explicit timeout, clamped by
   /// the inherited turn deadline, falling back to the cluster default (see
   /// CallOptions::timeout_us). Returns 0 for "no deadline".

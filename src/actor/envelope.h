@@ -57,9 +57,6 @@ struct Envelope {
   int failover_attempts = 0;
   /// Shed class under overload (see MessagePriority).
   MessagePriority priority = MessagePriority::kQuery;
-  /// Approximate serialized size, charged by the network model for
-  /// cross-silo sends.
-  int64_t approx_bytes = 128;
   /// Causality context of the send (invalid when the caller's request was
   /// not sampled). Propagated across the wire, retries, and failover.
   TraceContext trace;
@@ -71,18 +68,20 @@ struct Envelope {
   /// the target type is unregistered or activation failed). Calls created
   /// through ActorRef wire this to the caller's promise.
   std::function<void(const Status&)> fail;
+  /// Set on timer ticks: they belong to the activation that scheduled them,
+  /// so one re-routed off its silo is a dead letter, not a remote send.
+  bool activation_scoped = false;
 
   // --- Wire lane (cross-silo serialized dispatch) ---------------------------
   //
   // Both lanes ride in the envelope because the send side cannot know the
-  // target silo before placement: Cluster::Send picks the closure lane for
-  // same-silo delivery (zero-copy fast path) and the wire lane for remote
+  // target silo before placement: Cluster::Send runs `fn` for same-silo
+  // delivery (zero-copy fast path) and ships the wire lane for every remote
   // delivery. Arguments are encoded lazily — only when a remote hop actually
   // happens — so local sends never pay for serialization.
 
   /// Registration of the invoked method, or nullptr if the method has no
-  /// wire registration (remote sends then fall back to the closure lane,
-  /// or fail fast under WireOptions::require_wire).
+  /// wire registration (a remote send then fails with FailedPrecondition).
   const WireMethodInfo* wire = nullptr;
   /// Lazily encodes the argument tuple (WireEncodeTuple of the decayed
   /// argument pack).

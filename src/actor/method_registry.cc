@@ -1,5 +1,7 @@
 #include "actor/method_registry.h"
 
+#include <cassert>
+
 namespace aodb {
 
 namespace internal {
@@ -14,6 +16,15 @@ std::shared_mutex& SigTableMutex() {
 MethodRegistry& MethodRegistry::Global() {
   static MethodRegistry registry;
   return registry;
+}
+
+MethodRegistry::MethodRegistry() {
+  // Reminder ticks come from the runtime, not from an actor, so they
+  // travel the wire lane under one method that every actor type answers.
+  [[maybe_unused]] Status st =
+      Register(kRuntimeMethodsType, &ActorBase::ReceiveReminder,
+               "ActorBase.ReceiveReminder");
+  assert(st.ok());
 }
 
 uint64_t MethodRegistry::MethodId(const std::string& method_name) {
@@ -51,10 +62,14 @@ Status MethodRegistry::AddEntry(const std::string& type_name,
 const WireMethodEntry* MethodRegistry::FindEntry(const std::string& type_name,
                                                  uint64_t method_id) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  auto tit = types_.find(type_name);
-  if (tit == types_.end()) return nullptr;
-  auto mit = tit->second.find(method_id);
-  return mit == tit->second.end() ? nullptr : mit->second.get();
+  auto find = [&](const std::string& type) -> const WireMethodEntry* {
+    auto tit = types_.find(type);
+    if (tit == types_.end()) return nullptr;
+    auto mit = tit->second.find(method_id);
+    return mit == tit->second.end() ? nullptr : mit->second.get();
+  };
+  if (const WireMethodEntry* entry = find(type_name)) return entry;
+  return find(kRuntimeMethodsType);
 }
 
 size_t MethodRegistry::MethodCount(const std::string& type_name) const {

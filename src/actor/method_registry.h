@@ -138,6 +138,25 @@ Status WireSelfCheck(const std::string& name) {
   return Status::OK();
 }
 
+/// Runs `method` on `obj` with the unpacked argument tuple and hands its
+/// outcome, as a Result<RT>, to `done` — for a Future-returning method, once
+/// that future settles. Shared by both lanes' dispatch.
+template <typename RT, typename Obj, typename R, typename C,
+          typename... MArgs, typename Tuple, typename Done>
+void InvokeThen(Obj& obj, R (C::*method)(MArgs...), Tuple& args, Done done) {
+  auto call = [&] {
+    return std::apply([&](auto&... a) { return (obj.*method)(a...); }, args);
+  };
+  if constexpr (IsFuture<R>::value) {
+    call().OnReady(std::move(done));
+  } else if constexpr (std::is_void_v<R>) {
+    call();
+    done(Result<RT>(Unit{}));
+  } else {
+    done(Result<RT>(call()));
+  }
+}
+
 /// Builds the receive-side invoker for one method.
 template <typename R, typename C, typename... MArgs>
 WireInvoker MakeWireInvoker(R (C::*method)(MArgs...)) {
@@ -159,36 +178,24 @@ WireInvoker MakeWireInvoker(R (C::*method)(MArgs...)) {
       return;
     }
     C& obj = static_cast<C&>(base);
-    if constexpr (IsFuture<R>::value) {
-      Future<RT> f = std::apply(
-          [&](auto&... a) { return (obj.*method)(a...); }, args);
-      if (reply) {
-        f.OnReady([reply](Result<RT>&& res) {
-          BufWriter w;
-          WireEncodeResult<RT>(&w, res);
-          reply(w.Release());
-        });
-      }
-    } else if constexpr (std::is_void_v<R>) {
-      std::apply([&](auto&... a) { (obj.*method)(a...); }, args);
-      if (reply) {
-        BufWriter w;
-        WireEncodeResult<RT>(&w, Result<RT>(Unit{}));
-        reply(w.Release());
-      }
-    } else {
-      R value = std::apply(
-          [&](auto&... a) { return (obj.*method)(a...); }, args);
-      if (reply) {
-        BufWriter w;
-        WireEncodeResult<RT>(&w, Result<RT>(std::move(value)));
-        reply(w.Release());
-      }
+    if (!reply) {
+      std::apply([&](auto&... a) { (void)(obj.*method)(a...); }, args);
+      return;
     }
+    InvokeThen<RT>(obj, method, args, [reply](Result<RT>&& res) {
+      BufWriter w;
+      WireEncodeResult<RT>(&w, res);
+      reply(w.Release());
+    });
   };
 }
 
 }  // namespace internal
+
+/// Registry key of the runtime-owned methods: methods every actor type
+/// answers, found for any target type. The only one is the reminder tick,
+/// ActorBase::ReceiveReminder, registered by the registry itself.
+inline constexpr char kRuntimeMethodsType[] = "aodb.runtime";
 
 /// Process-wide registry of wire-invokable actor methods.
 class MethodRegistry {
@@ -232,8 +239,8 @@ class MethodRegistry {
   }
 
   /// Send-side lookup: the registration for a member-function pointer, or
-  /// nullptr if the method was never registered (callers fall back to the
-  /// closure lane, or fail fast under WireOptions::require_wire).
+  /// nullptr if the method was never registered (the message can then only
+  /// be delivered on the caller's own silo).
   template <typename R, typename C, typename... MArgs>
   const WireMethodInfo* Find(R (C::*method)(MArgs...)) const {
     std::shared_lock<std::shared_mutex> lock(internal::SigTableMutex());
@@ -243,7 +250,8 @@ class MethodRegistry {
     return nullptr;
   }
 
-  /// Receive-side lookup, or nullptr.
+  /// Receive-side lookup (the type's own methods, then the runtime-owned
+  /// ones), or nullptr.
   const WireMethodEntry* FindEntry(const std::string& type_name,
                                    uint64_t method_id) const;
 
@@ -258,6 +266,8 @@ class MethodRegistry {
   size_t TotalMethods() const;
 
  private:
+  MethodRegistry();
+
   Status AddEntry(const std::string& type_name,
                   std::unique_ptr<WireMethodEntry> entry,
                   const WireMethodEntry** installed);

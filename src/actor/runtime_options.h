@@ -41,15 +41,6 @@ struct NetworkOptions {
   Micros serialization_cost_us = 40;
 };
 
-/// Configuration of the wire (serialized invocation) lane.
-struct WireOptions {
-  /// When true, a cross-silo send of a method with no MethodRegistry
-  /// registration fails fast with FailedPrecondition naming the actor type,
-  /// instead of falling back to the closure lane. Test fixtures enable this
-  /// so unregistered methods are caught at their first remote use.
-  bool require_wire = false;
-};
-
 /// Cluster membership & automatic failure detection (Orleans-style lease
 /// table + heartbeat ring). Off by default: without it, silo death is only
 /// handled when announced via Cluster::KillSilo.
@@ -198,7 +189,6 @@ struct RuntimeOptions {
   /// actor type with Cluster::SetTypeMaxResident.
   int max_resident_activations = 0;
   NetworkOptions network;
-  WireOptions wire;
   MembershipOptions membership;
   LifecycleOptions lifecycle;
   OverloadOptions overload;

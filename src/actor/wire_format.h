@@ -38,8 +38,8 @@ struct WireRequest {
   std::string args;  ///< WireEncodeTuple of the decayed argument pack.
 };
 
-/// Encodes and seals a request frame. The frame's size is the measured
-/// `Envelope.approx_bytes` charged by the network model.
+/// Encodes and seals a request frame. The frame's size is what the network
+/// model charges transfer time for.
 std::string WireEncodeRequest(const WireRequest& req);
 
 /// Verifies the seal and decodes the header + args. Corrupted or truncated

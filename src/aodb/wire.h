@@ -1,8 +1,8 @@
 // Wire-method registration for the aodb core actors (registry, index) and
 // for the TransactionalActor protocol messages. Platforms call these from
 // their RegisterTypes so that cross-silo transaction traffic — prepare /
-// commit / abort votes and single-actor ops — travels the serialized wire
-// lane instead of the closure fallback.
+// commit / abort votes and single-actor ops — can travel the serialized
+// wire lane, the only lane that crosses silos.
 
 #ifndef AODB_AODB_WIRE_H_
 #define AODB_AODB_WIRE_H_

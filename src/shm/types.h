@@ -149,9 +149,6 @@ constexpr Micros kCostChannelRange = 200;
 constexpr Micros kCostOrgLiveFanout = 50;
 constexpr Micros kCostConfigure = 50;
 
-/// Approximate wire size of a data point on the network.
-constexpr int64_t kBytesPerPoint = 16;
-
 }  // namespace shm
 }  // namespace aodb
 

@@ -76,7 +76,7 @@ Status FileKvStore::ReplaySegments() {
       uint32_t crc, len;
       std::memcpy(&crc, header, 4);
       std::memcpy(&len, header + 4, 4);
-      if (len > (64u << 20)) {
+      if (len > kMaxRecordBytes) {
         AODB_LOG(Warn, "segment %lld: implausible record length, truncating",
                  static_cast<long long>(seq));
         break;
@@ -152,6 +152,11 @@ std::string FileKvStore::EncodeBatch(const WriteBatch& batch) {
 Status FileKvStore::AppendRecord(const std::string& payload) {
   if (closed_ || active_ == nullptr) {
     return Status::FailedPrecondition("store is closed");
+  }
+  if (payload.size() > kMaxRecordBytes) {
+    return Status::InvalidArgument("record of " +
+                                   std::to_string(payload.size()) +
+                                   " bytes exceeds the log's record limit");
   }
   uint32_t crc = Crc32c(payload);
   uint32_t len = static_cast<uint32_t>(payload.size());
@@ -253,11 +258,23 @@ Status FileKvStore::MaybeCompactLocked() {
   AODB_RETURN_NOT_OK(OpenActiveSegment(new_seq));
   std::fclose(old);
   bytes_since_compaction_ = 0;
-  WriteBatch snapshot;
-  for (const auto& [k, v] : table_) snapshot.Put(k, v);
-  if (!snapshot.empty()) {
-    AODB_RETURN_NOT_OK(AppendRecord(EncodeBatch(snapshot)));
+  // The snapshot goes out as records under kMaxRecordBytes. A crash part
+  // way through leaves the older segments in place, so replay still sees
+  // every key. Per op: a flag byte, two length varints, key and value.
+  constexpr size_t kVarintMax = 10;
+  WriteBatch chunk;
+  size_t chunk_bytes = kVarintMax;  // The op-count prefix.
+  for (const auto& [k, v] : table_) {
+    size_t op_bytes = 1 + 2 * kVarintMax + k.size() + v.size();
+    if (!chunk.empty() && chunk_bytes + op_bytes > kMaxRecordBytes) {
+      AODB_RETURN_NOT_OK(AppendRecord(EncodeBatch(chunk)));
+      chunk.ops.clear();
+      chunk_bytes = kVarintMax;
+    }
+    chunk.Put(k, v);
+    chunk_bytes += op_bytes;
   }
+  if (!chunk.empty()) AODB_RETURN_NOT_OK(AppendRecord(EncodeBatch(chunk)));
   // Snapshot bytes are not garbage; reset the counter after writing it.
   bytes_since_compaction_ = 0;
   for (const auto& entry : fs::directory_iterator(dir_)) {

@@ -37,6 +37,11 @@ struct FileKvOptions {
 /// all segments in order, dropping any trailing torn record.
 class FileKvStore final : public KvStore {
  public:
+  /// Largest record payload the log accepts. Replay treats a longer length
+  /// field as a torn header, so writes over it are refused and compaction
+  /// splits the live table into records under it.
+  static constexpr uint32_t kMaxRecordBytes = 64u << 20;
+
   ~FileKvStore() override;
 
   /// Opens (creating if needed) the store in `dir`.

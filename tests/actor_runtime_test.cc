@@ -11,6 +11,7 @@
 #include "actor/runtime.h"
 #include "sim/sim_harness.h"
 #include "storage/mem_kv.h"
+#include "wire_test_util.h"
 
 namespace aodb {
 namespace {
@@ -82,6 +83,33 @@ class RelayActor : public ActorBase {
                                                      delta);
   }
 };
+
+[[maybe_unused]] const bool kWireRegistered = [] {
+  RegisterWireOrDie(CounterActor::kTypeName, &CounterActor::Add,
+                    "Counter.Add");
+  RegisterWireOrDie(CounterActor::kTypeName, &CounterActor::Value,
+                    "Counter.Value", /*idempotent=*/true);
+  RegisterWireOrDie(CounterActor::kTypeName, &CounterActor::Bump,
+                    "Counter.Bump");
+  RegisterWireOrDie(CounterActor::kTypeName, &CounterActor::Key,
+                    "Counter.Key", /*idempotent=*/true);
+  RegisterWireOrDie(CounterActor::kTypeName, &CounterActor::SiloOf,
+                    "Counter.SiloOf", /*idempotent=*/true);
+  RegisterWireOrDie(EchoActor::kTypeName, &EchoActor::Ok, "Echo.Ok");
+  RegisterWireOrDie(EchoActor::kTypeName, &EchoActor::Fail, "Echo.Fail");
+  RegisterWireOrDie(EchoActor::kTypeName, &EchoActor::Concat, "Echo.Concat");
+  RegisterWireOrDie(GhostActor::kTypeName, &GhostActor::Zero, "Ghost.Zero");
+  RegisterWireOrDie(TickActor::kTypeName, &TickActor::Start, "Tick.Start");
+  RegisterWireOrDie(TickActor::kTypeName, &TickActor::Ticks, "Tick.Ticks",
+                    /*idempotent=*/true);
+  RegisterWireOrDie(RemindedActor::kTypeName, &RemindedActor::Arm,
+                    "Reminded.Arm");
+  RegisterWireOrDie(RemindedActor::kTypeName, &RemindedActor::Count,
+                    "Reminded.Count", /*idempotent=*/true);
+  RegisterWireOrDie(RelayActor::kTypeName, &RelayActor::AddViaCounter,
+                    "Relay.AddViaCounter");
+  return true;
+}();
 
 class RealClusterTest : public ::testing::Test {
  protected:

@@ -8,8 +8,10 @@
 #include "aodb/query.h"
 #include "aodb/registry.h"
 #include "aodb/txn.h"
+#include "aodb/wire.h"
 #include "aodb/workflow.h"
 #include "sim/sim_harness.h"
+#include "wire_test_util.h"
 
 namespace aodb {
 namespace {
@@ -82,6 +84,23 @@ class ItemActor : public ActorBase {
   std::string tag_;
   int64_t value_ = 0;
 };
+
+[[maybe_unused]] const bool kWireRegistered = [] {
+  DieOnWireError(RegisterAodbCoreWireMethods(), "aodb core methods");
+  DieOnWireError(RegisterTransactionalWireMethods(AccountActor::kTypeName),
+                 "Account transaction protocol");
+  RegisterWireOrDie(AccountActor::kTypeName, &AccountActor::Deposit,
+                    "Account.Deposit");
+  RegisterWireOrDie(AccountActor::kTypeName, &AccountActor::Balance,
+                    "Account.Balance", /*idempotent=*/true);
+  RegisterWireOrDie(ItemActor::kTypeName, &ItemActor::Init, "Item.Init");
+  RegisterWireOrDie(ItemActor::kTypeName, &ItemActor::Retag, "Item.Retag");
+  RegisterWireOrDie(ItemActor::kTypeName, &ItemActor::Value, "Item.Value",
+                    /*idempotent=*/true);
+  RegisterWireOrDie(ItemActor::kTypeName, &ItemActor::Tag, "Item.Tag",
+                    /*idempotent=*/true);
+  return true;
+}();
 
 class AodbFeaturesTest : public ::testing::Test {
  protected:

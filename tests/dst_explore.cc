@@ -7,6 +7,11 @@
 //
 //   dst_explore --seeds=200 --base-seed=1 --artifact-dir=dst_artifacts
 //
+// --print-fingerprints adds one `seed <n> <fingerprint>` line per seed, so
+// two builds can be checked for identical per-seed outcomes with diff:
+//
+//   dst_explore --seeds=200 --print-fingerprints > fingerprints.txt
+//
 // Replay mode: load an artifact and run it twice, asserting bit-identical
 // fingerprints (the determinism contract), printing any violations.
 //
@@ -40,6 +45,7 @@ struct Args {
   std::string artifact_dir = "dst_artifacts";
   bool shrink = true;
   bool force_violation = false;
+  bool print_fingerprints = false;
 };
 
 bool ParseArgs(int argc, char** argv, Args* out) {
@@ -61,6 +67,8 @@ bool ParseArgs(int argc, char** argv, Args* out) {
       out->shrink = false;
     } else if (arg == "--force-violation") {
       out->force_violation = true;
+    } else if (arg == "--print-fingerprints") {
+      out->print_fingerprints = true;
     } else if (arg == "--help" || arg == "-h") {
       return false;
     } else {
@@ -80,7 +88,8 @@ void Usage() {
   std::fprintf(
       stderr,
       "usage: dst_explore [--seeds=N] [--base-seed=S] [--artifact-dir=DIR]\n"
-      "                   [--no-shrink] [--force-violation] [--replay=FILE]\n");
+      "                   [--no-shrink] [--force-violation] [--replay=FILE]\n"
+      "                   [--print-fingerprints]\n");
 }
 
 bool WriteFile(const std::string& path, const std::string& content) {
@@ -165,6 +174,10 @@ int Sweep(const Args& args) {
     RunResult result = aodb::dst::RunScenario(plan, config);
     total_acked += result.acked_ops;
     total_checks += result.checks_run;
+    if (args.print_fingerprints) {
+      std::printf("seed %llu %s\n", static_cast<unsigned long long>(seed),
+                  result.fingerprint.c_str());
+    }
     if (result.violations.empty()) continue;
 
     ++violating_seeds;

@@ -23,6 +23,7 @@
 #include "storage/faulty_storage.h"
 #include "storage/mem_kv.h"
 #include "storage/persistent_actor.h"
+#include "wire_test_util.h"
 
 namespace aodb {
 namespace {
@@ -146,6 +147,20 @@ class VolatileCounter : public ActorBase {
  private:
   int64_t value_ = 0;
 };
+
+[[maybe_unused]] const bool kWireRegistered = [] {
+  RegisterWireOrDie(DurableCounter::kTypeName, &DurableCounter::Add,
+                    "DurableCounter.Add");
+  RegisterWireOrDie(DurableCounter::kTypeName, &DurableCounter::Value,
+                    "DurableCounter.Value", /*idempotent=*/true);
+  RegisterWireOrDie(DurableCounter::kTypeName, &DurableCounter::Retries,
+                    "DurableCounter.Retries", /*idempotent=*/true);
+  RegisterWireOrDie(VolatileCounter::kTypeName, &VolatileCounter::Add,
+                    "VolatileCounter.Add");
+  RegisterWireOrDie(VolatileCounter::kTypeName, &VolatileCounter::Value,
+                    "VolatileCounter.Value", /*idempotent=*/true);
+  return true;
+}();
 
 // --- Silo kill / restart -----------------------------------------------------
 

@@ -20,6 +20,7 @@
 #include "common/retry.h"
 #include "common/telemetry.h"
 #include "sim/sim_harness.h"
+#include "wire_test_util.h"
 
 namespace aodb {
 namespace {
@@ -36,6 +37,13 @@ class ObsCounter : public ActorBase {
  private:
   int64_t value_ = 0;
 };
+
+[[maybe_unused]] const bool kWireRegistered = [] {
+  RegisterWireOrDie(ObsCounter::kTypeName, &ObsCounter::Add, "ObsCounter.Add");
+  RegisterWireOrDie(ObsCounter::kTypeName, &ObsCounter::Value,
+                    "ObsCounter.Value", /*idempotent=*/true);
+  return true;
+}();
 
 // --- FlightRing / FlightRecorder mechanics -----------------------------------
 

@@ -4,7 +4,8 @@
 // to the SAME placement — no failover), the silo load shedder's priority
 // ordering (telemetry first, queries past the hard watermark, control
 // never), live hot-actor migration (state and reminders survive the
-// deactivate -> directory-move -> reactivate cycle), and the regression
+// deactivate -> directory-move -> reactivate cycle; queued timer ticks are
+// dropped as dead letters), and the regression
 // for the idle-sweep vs migration race: both initiators must observe the
 // activation state machine, so whichever loses simply declines.
 
@@ -67,6 +68,25 @@ class OvCounter : public PersistentActor<OvState> {
   }
 };
 
+/// Windowed-persistence counter: its activation runs a persist timer, so
+/// timer ticks queue in its mailbox behind slow turns.
+class OvWindowed : public PersistentActor<OvState> {
+ public:
+  static constexpr char kTypeName[] = "test.OvWindowed";
+
+  OvWindowed()
+      : PersistentActor<OvState>(PersistenceOptions{
+            PersistPolicy::kWindowed, 1000, 10 * kMicrosPerMilli, "default",
+            RetryPolicy{}}) {}
+
+  int64_t Add(int64_t d) {
+    state().value += d;
+    MarkDirty();
+    return state().value;
+  }
+  int64_t Value() { return state().value; }
+};
+
 /// Fans `n` expensive adds out to a counter from INSIDE a silo, so the
 /// sends ride the same-silo closure lane (the wire lane is only taken for
 /// cross-silo sends). Returns how many came back Overloaded.
@@ -109,9 +129,16 @@ void RegisterWireMethods() {
     AODB_RETURN_NOT_OK(MethodRegistry::Global().Register(
         OvCounter::kTypeName, &OvCounter::ReminderFires,
         "OvCounter.ReminderFires", /*idempotent=*/true));
-    return MethodRegistry::Global().Register(
+    AODB_RETURN_NOT_OK(MethodRegistry::Global().Register(
         OvCounter::kTypeName, &OvCounter::StartReminder,
-        "OvCounter.StartReminder");
+        "OvCounter.StartReminder"));
+    AODB_RETURN_NOT_OK(MethodRegistry::Global().Register(
+        OvWindowed::kTypeName, &OvWindowed::Add, "OvWindowed.Add"));
+    AODB_RETURN_NOT_OK(MethodRegistry::Global().Register(
+        OvWindowed::kTypeName, &OvWindowed::Value, "OvWindowed.Value",
+        /*idempotent=*/true));
+    return MethodRegistry::Global().Register(
+        OvRelay::kTypeName, &OvRelay::Flood, "OvRelay.Flood");
   }();
   ASSERT_TRUE(st.ok()) << st.ToString();
 }
@@ -132,6 +159,7 @@ struct TestCluster {
     RegisterWireMethods();
     cluster.RegisterActorType<OvCounter>();
     cluster.RegisterActorType<OvRelay>();
+    cluster.RegisterActorType<OvWindowed>();
     cluster.RegisterStateStorage("default",
                                  std::make_shared<KvStateStorage>(&kv));
   }
@@ -481,6 +509,45 @@ TEST(OverloadTest, MigrationReroutesQueuedMailWithoutLoss) {
   auto v = tc.cluster.Ref<OvCounter>("q0").Call(&OvCounter::Value);
   ASSERT_TRUE(RunUntilReady(tc.harness, v, 5 * kMicrosPerSecond));
   EXPECT_EQ(v.Get().value(), acked);  // Nothing lost, nothing doubled.
+}
+
+/// Timer ticks are activation-scoped: ticks queued behind a slow turn when
+/// the actor migrates are re-routed off the old silo and dropped as dead
+/// letters, not reported as a send without a wire registration. Every
+/// accepted add still lands once on the new silo.
+TEST(OverloadTest, MigrationDropsQueuedTimerTicksAsDeadLetters) {
+  RuntimeOptions options = BaseOptions(2);
+  TestCluster tc(options);
+
+  ActorId id{OvWindowed::kTypeName, "w0"};
+  auto warm = tc.cluster.Ref<OvWindowed>("w0").Call(&OvWindowed::Add,
+                                                    int64_t{1});
+  ASSERT_TRUE(RunUntilReady(tc.harness, warm, 5 * kMicrosPerSecond));
+  auto host = tc.cluster.directory().Lookup(id);
+  ASSERT_TRUE(host.has_value());
+  SiloId to = host.value() == 0 ? 1 : 0;
+
+  // A 100 ms turn lets several 10 ms persist ticks queue behind it.
+  CallOptions slow;
+  slow.cost_us = 100 * kMicrosPerMilli;
+  auto busy = tc.cluster.Ref<OvWindowed>("w0").CallWith(
+      slow, &OvWindowed::Add, int64_t{1});
+  tc.harness.RunFor(50 * kMicrosPerMilli);
+  const int64_t dead_before = tc.Metric("cluster.dead_letters");
+  testing::internal::CaptureStderr();
+  Status st = tc.cluster.MigrateActivation(id, to);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  tc.harness.RunFor(kMicrosPerSecond);
+  const std::string log = testing::internal::GetCapturedStderr();
+
+  EXPECT_EQ(log.find("no wire registration"), std::string::npos) << log;
+  EXPECT_GT(tc.Metric("cluster.dead_letters"), dead_before);
+  EXPECT_EQ(tc.cluster.directory().Lookup(id).value(), to);
+  ASSERT_TRUE(busy.Ready());
+  ASSERT_TRUE(busy.Get().ok());
+  auto v = tc.cluster.Ref<OvWindowed>("w0").Call(&OvWindowed::Value);
+  ASSERT_TRUE(RunUntilReady(tc.harness, v, 5 * kMicrosPerSecond));
+  EXPECT_EQ(v.Get().value(), 2);
 }
 
 /// Regression: the idle sweeper and the migration controller both want to

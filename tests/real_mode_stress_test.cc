@@ -12,6 +12,7 @@
 #include "actor/runtime.h"
 #include "storage/mem_kv.h"
 #include "storage/persistent_actor.h"
+#include "wire_test_util.h"
 
 namespace aodb {
 namespace {
@@ -127,6 +128,19 @@ class DurableStressCounter : public PersistentActor<StressState> {
   int64_t Value() { return state().value; }
 };
 
+[[maybe_unused]] const bool kWireRegistered = [] {
+  RegisterWireOrDie(RacyCounter::kTypeName, &RacyCounter::Add,
+                    "RacyCounter.Add");
+  RegisterWireOrDie(RacyCounter::kTypeName, &RacyCounter::Value,
+                    "RacyCounter.Value", /*idempotent=*/true);
+  RegisterWireOrDie(DurableStressCounter::kTypeName,
+                    &DurableStressCounter::Add, "DurableStressCounter.Add");
+  RegisterWireOrDie(DurableStressCounter::kTypeName,
+                    &DurableStressCounter::Value, "DurableStressCounter.Value",
+                    /*idempotent=*/true);
+  return true;
+}();
+
 TEST(RealModeStressTest, WindowedPersistenceUnderRealConcurrency) {
   MemKvStore backing;
   auto storage = std::make_shared<KvStateStorage>(&backing);
@@ -173,6 +187,7 @@ TEST(RealModeStressTest, CrossSiloCallChainsUnderLoad) {
       return ctx().Ref<RacyCounter>(target).Call(&RacyCounter::Add);
     }
   };
+  RegisterWireOrDie("stress.Relay", &Relay::Through, "Relay.Through");
   RealClusterHandle handle(StressOptions());
   handle->RegisterActorType<RacyCounter>();
   handle->RegisterActorType(

@@ -10,6 +10,7 @@
 #include "sim/sim_harness.h"
 #include "storage/mem_kv.h"
 #include "storage/persistent_actor.h"
+#include "wire_test_util.h"
 
 namespace aodb {
 namespace {
@@ -74,6 +75,18 @@ class DurableCounter : public PersistentActor<EdgeCounterState> {
   }
   int64_t Value() { return state().value; }
 };
+
+[[maybe_unused]] const bool kWireRegistered = [] {
+  RegisterWireOrDie(SequenceActor::kTypeName, &SequenceActor::Push,
+                    "Sequence.Push");
+  RegisterWireOrDie(SequenceActor::kTypeName, &SequenceActor::Seen,
+                    "Sequence.Seen", /*idempotent=*/true);
+  RegisterWireOrDie(DurableCounter::kTypeName, &DurableCounter::Add,
+                    "DurableCounter.Add");
+  RegisterWireOrDie(DurableCounter::kTypeName, &DurableCounter::Value,
+                    "DurableCounter.Value", /*idempotent=*/true);
+  return true;
+}();
 
 TEST(RuntimeRestartTest, StateAndRemindersSurviveClusterRestart) {
   // Durable media shared across two cluster generations.
@@ -152,6 +165,10 @@ TEST(RuntimePrincipalTest, PrincipalTravelsWithEveryMessage) {
    private:
     std::vector<std::string> tenants_;
   };
+  RegisterWireOrDie("edge.WhoAmI", &WhoAmI::CallerTenant,
+                    "WhoAmI.CallerTenant");
+  RegisterWireOrDie("edge.WhoAmI", &WhoAmI::Record, "WhoAmI.Record");
+  RegisterWireOrDie("edge.WhoAmI", &WhoAmI::Recorded, "WhoAmI.Recorded");
   RuntimeOptions o;
   SimHarness harness(o);
   harness.cluster().RegisterActorType(
@@ -183,6 +200,7 @@ TEST(RuntimeReminderTest, UnregisterStopsFiring) {
    private:
     int count_ = 0;
   };
+  RegisterWireOrDie("edge.Armed", &Armed::Count, "Armed.Count");
   MemKvStore system_kv;
   RuntimeOptions o;
   SimHarness harness(o, &system_kv);
@@ -235,6 +253,7 @@ TEST(RuntimeErrorTest, FutureReturningMethodErrorPropagatesToCaller) {
       return Future<int64_t>::FromError(Status::ResourceExhausted("nope"));
     }
   };
+  RegisterWireOrDie("edge.Failing", &Failing::Doomed, "Failing.Doomed");
   RuntimeOptions o;
   SimHarness harness(o);
   harness.cluster().RegisterActorType(

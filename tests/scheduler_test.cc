@@ -16,6 +16,7 @@
 #include "actor/actor_ref.h"
 #include "actor/runtime.h"
 #include "actor/thread_pool.h"
+#include "wire_test_util.h"
 
 namespace aodb {
 namespace {
@@ -232,6 +233,26 @@ class CountActor : public ActorBase {
  private:
   int64_t value_ = 0;
 };
+
+[[maybe_unused]] const bool kWireRegistered = [] {
+  RegisterWireOrDie(SerialProbe::kTypeName, &SerialProbe::Enter,
+                    "SerialProbe.Enter");
+  RegisterWireOrDie(SerialProbe::kTypeName, &SerialProbe::Count,
+                    "SerialProbe.Count", /*idempotent=*/true);
+  RegisterWireOrDie(SerialProbe::kTypeName, &SerialProbe::Violations,
+                    "SerialProbe.Violations", /*idempotent=*/true);
+  RegisterWireOrDie(StreamChecker::kTypeName, &StreamChecker::Push,
+                    "StreamChecker.Push");
+  RegisterWireOrDie(StreamChecker::kTypeName, &StreamChecker::Total,
+                    "StreamChecker.Total", /*idempotent=*/true);
+  RegisterWireOrDie(StreamChecker::kTypeName, &StreamChecker::Violations,
+                    "StreamChecker.Violations", /*idempotent=*/true);
+  RegisterWireOrDie(CountActor::kTypeName, &CountActor::Add,
+                    "CountActor.Add");
+  RegisterWireOrDie(CountActor::kTypeName, &CountActor::Value,
+                    "CountActor.Value", /*idempotent=*/true);
+  return true;
+}();
 
 /// A flooded actor must not starve a lightly-loaded one: the batch cap
 /// forces the hot activation to yield its worker between batches.

@@ -15,6 +15,7 @@
 #include "storage/file_kv.h"
 #include "storage/mem_kv.h"
 #include "storage/persistent_actor.h"
+#include "wire_test_util.h"
 
 namespace aodb {
 namespace {
@@ -231,6 +232,36 @@ TEST(FileKvTest, ReopenAfterCompactionKeepsLatestValues) {
   EXPECT_EQ(reopened.value()->Get("k").value(), expect + "49");
 }
 
+TEST(FileKvTest, LiveTableOverRecordLimitSurvivesCompactionAndReopen) {
+  // A live table larger than one log record: compaction must split its
+  // snapshot, or replay refuses the oversized record and the reopened store
+  // comes back empty.
+  TempDir dir;
+  constexpr int kKeys = 66;
+  const std::string value(1 << 20, 'v');  // 66 MiB live, over the limit.
+  {
+    auto kv = std::move(FileKvStore::Open(dir.str()).value());
+    // A single write over the limit is refused outright.
+    EXPECT_EQ(kv->Put("huge", std::string(FileKvStore::kMaxRecordBytes, 'x'))
+                  .code(),
+              StatusCode::kInvalidArgument);
+    for (int i = 0; i < kKeys; ++i) {
+      ASSERT_TRUE(kv->Put("k" + std::to_string(i), value).ok());
+    }
+    ASSERT_TRUE(kv->Compact().ok());
+    kv->Close();
+  }
+  auto reopened = FileKvStore::Open(dir.str());
+  ASSERT_TRUE(reopened.ok());
+  FileKvStore& kv = *reopened.value();
+  EXPECT_EQ(kv.Count().value(), kKeys);
+  for (int i = 0; i < kKeys; ++i) {
+    auto got = kv.Get("k" + std::to_string(i));
+    ASSERT_TRUE(got.ok()) << "k" << i << ": " << got.status().ToString();
+    EXPECT_EQ(got.value(), value);
+  }
+}
+
 // --- TokenBucket / CloudKvSim ---------------------------------------------------
 
 TEST(TokenBucketTest, RefillsAtConfiguredRate) {
@@ -360,6 +391,20 @@ class DeactivateCounter
  public:
   static constexpr char kTypeName[] = "test.OnDeactivate";
 };
+
+template <typename T>
+void RegisterCounterWireMethods() {
+  RegisterWireOrDie(T::kTypeName, &T::Add, "PersistingCounter.Add");
+  RegisterWireOrDie(T::kTypeName, &T::Value, "PersistingCounter.Value",
+                    /*idempotent=*/true);
+}
+
+[[maybe_unused]] const bool kWireRegistered = [] {
+  RegisterCounterWireMethods<EveryUpdateCounter>();
+  RegisterCounterWireMethods<WindowedCounter>();
+  RegisterCounterWireMethods<DeactivateCounter>();
+  return true;
+}();
 
 class PersistencePolicyTest : public ::testing::Test {
  protected:

@@ -19,10 +19,12 @@
 #include "actor/trace.h"
 #include "actor/wire_format.h"
 #include "aodb/txn.h"
+#include "aodb/wire.h"
 #include "aodb/workflow.h"
 #include "common/telemetry.h"
 #include "shm/platform.h"
 #include "sim/sim_harness.h"
+#include "wire_test_util.h"
 
 namespace aodb {
 namespace {
@@ -283,7 +285,6 @@ TEST(TracePropagationTest, SamplingDrawIsOneInN) {
 
 TEST(TraceCrossSiloTest, ShmIngestTraceLinksClientSensorAndAggregator) {
   RuntimeOptions o = TracedOptions(3);
-  o.wire.require_wire = true;
   SimHarness harness(o);
   shm::ShmPlatform::RegisterTypes(harness.cluster());
   shm::ShmPlatform::ApplyPaperPlacement(harness.cluster());
@@ -454,6 +455,20 @@ class LedgerActor : public TransactionalActor {
   int64_t balance_ = 0;
 };
 
+[[maybe_unused]] const bool kWireRegistered = [] {
+  RegisterWireOrDie(PingActor::kTypeName, &PingActor::Echo, "Ping.Echo");
+  RegisterWireOrDie(HopActor::kTypeName, &HopActor::Forward, "Hop.Forward");
+  RegisterWireOrDie(VolatileCounter::kTypeName, &VolatileCounter::Add,
+                    "VolatileCounter.Add");
+  RegisterWireOrDie(VolatileCounter::kTypeName, &VolatileCounter::Value,
+                    "VolatileCounter.Value", /*idempotent=*/true);
+  DieOnWireError(RegisterTransactionalWireMethods(LedgerActor::kTypeName),
+                 "Ledger transaction protocol");
+  RegisterWireOrDie(LedgerActor::kTypeName, &LedgerActor::Balance,
+                    "Ledger.Balance", /*idempotent=*/true);
+  return true;
+}();
+
 TEST(TraceWorkflowTest, TwoStepWorkflowIsOneTraceUnderTheWorkflowSpan) {
   SimHarness harness(TracedOptions(2));
   harness.cluster().RegisterActorType<LedgerActor>();
@@ -515,11 +530,9 @@ TEST(ClusterMetricsTest, RuntimeCountersLandInTheRegistry) {
   EXPECT_GT(snap.counters.at("trace.spans_recorded"), 0);
   EXPECT_GT(snap.gauges.at("cluster.activations"), 0);
   EXPECT_GT(snap.gauges.at("cluster.messages_processed"), 0);
-  // Some lane carried every call: same-silo closures, wire frames, or the
-  // closure fallback (these test actors are not in the method registry).
+  // Some lane carried every call: same-silo closures or wire frames.
   int64_t carried = snap.counters.at("wire.local_closure_sends") +
-                    snap.counters.at("wire.requests") +
-                    snap.counters.at("wire.closure_fallbacks");
+                    snap.counters.at("wire.requests");
   EXPECT_GE(carried, 6);
 
   // Turn profiling: per-type histograms exist and saw every turn.
