@@ -31,16 +31,16 @@ ASAN_TESTS=(
   fault_injection_test aodb_features_test storage_test
   real_mode_stress_test wire_registry_test membership_test
   telemetry_test scheduler_test overload_test observability_test
-  scale_paging_test
+  scale_paging_test future_test
 )
 # TSan leg: data races in the membership agents, eviction/failover paths,
 # real-mode thread pools, the concurrent telemetry recorders, the flight
-# recorder, and the overload/migration machinery (ASan and TSan cannot
-# share a build).
+# recorder, the overload/migration machinery, and the future/fan-in gather
+# completed from many threads (ASan and TSan cannot share a build).
 TSAN_TESTS=(
   membership_test fault_injection_test real_mode_stress_test
   telemetry_test scheduler_test overload_test observability_test
-  scale_paging_test
+  scale_paging_test future_test
 )
 
 # Joins a test list into the anchored regex ctest -R expects.

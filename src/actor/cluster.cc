@@ -23,12 +23,9 @@ Cluster::Cluster(const RuntimeOptions& options,
       silo_executors_(std::move(silo_executors)),
       client_executor_(client_executor),
       system_kv_(system_kv),
-      tracer_(options.num_silos, options.trace.sample_every,
-              options.trace.ring_capacity, &metrics_),
+      tracer_(options.num_silos, options.trace.sample_every, &metrics_),
       flight_(options.num_silos, options.observability.enable_flight_recorder,
-              options.observability.flight_ring_capacity, &metrics_),
-      timeline_(static_cast<size_t>(
-          std::max(1, options.observability.metrics_timeline_capacity))),
+              &metrics_),
       directory_(options.num_silos, options.default_placement,
                  options.seed ^ 0x5a5a5a5aULL, options.directory_shards),
       network_(options.network, options.seed ^ 0xc3c3c3c3ULL) {
@@ -807,23 +804,7 @@ Future<Status> Cluster::DeactivateAll() {
   std::vector<Future<Status>> futures;
   futures.reserve(silos_.size());
   for (auto& silo : silos_) futures.push_back(silo->DeactivateAll());
-  Promise<Status> done;
-  WhenAll(futures).OnReady(
-      [done](Result<std::vector<Result<Status>>>&& r) {
-        if (!r.ok()) {
-          done.SetValue(r.status());
-          return;
-        }
-        for (auto& st : r.value()) {
-          Status s = st.ok() ? st.value() : st.status();
-          if (!s.ok()) {
-            done.SetValue(s);
-            return;
-          }
-        }
-        done.SetValue(Status::OK());
-      });
-  return done.GetFuture();
+  return AllOk(futures);
 }
 
 // --- Fault injection ---------------------------------------------------------

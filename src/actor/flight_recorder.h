@@ -5,28 +5,27 @@
 // event time, actor id, silo, and the envelope's trace id, so a postmortem
 // bundle can cross-correlate flight events with sampled spans.
 //
-// Recording discipline matches SpanRing (actor/trace.h): writers claim a
-// slot with a relaxed fetch_add cursor and take a per-slot atomic try-lock;
-// a contended slot drops the event (counted). No mutex is ever taken on the
-// hot path, so the recorder stays enabled in production and under TSan.
+// Records go into the same LossyRing (common/lossy_ring.h) as trace spans:
+// writers claim a slot with a relaxed fetch_add cursor and take a per-slot
+// atomic try-lock; a contended slot drops the event (counted). No mutex is
+// ever taken on the hot path, so the recorder stays enabled in production
+// and under TSan.
 
 #ifndef AODB_ACTOR_FLIGHT_RECORDER_H_
 #define AODB_ACTOR_FLIGHT_RECORDER_H_
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "actor/actor_id.h"
 #include "common/clock.h"
+#include "common/lossy_ring.h"
 
 namespace aodb {
-
-class Counter;
-class MetricsRegistry;
 
 /// Taxonomy of recorded events. Names (FlightEventName) are stable strings
 /// used in bundle JSON; add new kinds at the end.
@@ -71,42 +70,17 @@ struct FlightRecord {
   char actor[kActorBytes] = {0};  ///< NUL-terminated.
 };
 
-/// Fixed-capacity lossy record sink, one per silo; same per-slot try-lock
-/// discipline as SpanRing so writers never block and dumps are safe while
-/// the runtime is hot.
-class FlightRing {
- public:
-  explicit FlightRing(size_t capacity);
-
-  /// Attempts to store the record; returns false if the slot was contended
-  /// (event dropped).
-  bool Push(const FlightRecord& rec);
-
-  /// Appends every stored record to `out` (unordered; at most `capacity`
-  /// newest records survive wrap-around).
-  void Collect(std::vector<FlightRecord>* out) const;
-
- private:
-  struct Slot {
-    std::atomic<bool> busy{false};
-    bool used = false;
-    FlightRecord rec;
-  };
-
-  const size_t mask_;
-  std::atomic<uint64_t> cursor_{0};
-  std::unique_ptr<Slot[]> slots_;
-};
-
 /// Per-cluster flight recorder: one ring per silo plus a client/runtime ring
 /// (index num_silos), a global sequence counter, and "flight.recorded" /
 /// "flight.dropped" counters. Disabled → Record is a branch and a return.
 class FlightRecorder {
  public:
-  FlightRecorder(int num_silos, bool enabled, int ring_capacity,
-                 MetricsRegistry* metrics);
+  /// Record slots per silo ring; the oldest events are overwritten on wrap.
+  static constexpr size_t kRingCapacity = 1024;
 
-  bool enabled() const { return enabled_; }
+  FlightRecorder(int num_silos, bool enabled, MetricsRegistry* metrics);
+
+  bool enabled() const { return rings_.has_value(); }
 
   /// Records one event at `at_us` (caller supplies the clock reading it
   /// already has — keeps the recorder clock-agnostic and deterministic
@@ -128,14 +102,9 @@ class FlightRecorder {
                                std::string* out);
 
  private:
-  size_t RingIndex(SiloId silo) const;
-
-  const int num_silos_;
-  const bool enabled_;
   std::atomic<uint64_t> next_seq_{1};
-  std::vector<std::unique_ptr<FlightRing>> rings_;
-  Counter* recorded_ = nullptr;
-  Counter* dropped_ = nullptr;
+  /// Empty when the recorder is disabled: no rings are allocated.
+  std::optional<ShardedLossyRing<FlightRecord>> rings_;
 };
 
 namespace internal {

@@ -270,6 +270,49 @@ Future<std::vector<Result<T>>> WhenAll(const std::vector<Future<T>>& futures) {
   return promise.GetFuture();
 }
 
+// Fan-in rule: multi-actor operations gather with AllOk or AllValues; WhenAll
+// is the primitive under both. Each waits for EVERY input (2PC and
+// DeactivateAll rely on it: no decision while a participant is in flight),
+// reports the first failure in input order, and completes inline on the
+// thread that completes the last input.
+
+/// Resolves, as a value, to the first non-OK status in input order — a
+/// transport error and a returned non-OK Status count alike — else to OK.
+inline Future<Status> AllOk(const std::vector<Future<Status>>& acks) {
+  Promise<Status> done;
+  WhenAll(acks).OnReady([done](Result<std::vector<Result<Status>>>&& r) {
+    for (const Result<Status>& ack : r.value()) {
+      const Status& st = ack.ok() ? ack.value() : ack.status();
+      if (!st.ok()) {
+        done.SetValue(st);
+        return;
+      }
+    }
+    done.SetValue(Status::OK());
+  });
+  return done.GetFuture();
+}
+
+/// Resolves to the values in input order, or fails with the first error in
+/// input order.
+template <typename T>
+Future<std::vector<T>> AllValues(const std::vector<Future<T>>& futures) {
+  Promise<std::vector<T>> done;
+  WhenAll(futures).OnReady([done](Result<std::vector<Result<T>>>&& r) {
+    std::vector<T> values;
+    values.reserve(r.value().size());
+    for (Result<T>& v : r.value()) {
+      if (!v.ok()) {
+        done.SetError(v.status());
+        return;
+      }
+      values.push_back(std::move(v).value());
+    }
+    done.SetValue(std::move(values));
+  });
+  return done.GetFuture();
+}
+
 /// Detects Future specializations (used by the typed call dispatcher).
 template <typename T>
 struct IsFuture : std::false_type {};

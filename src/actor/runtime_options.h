@@ -77,9 +77,6 @@ struct TraceOptions {
   /// 1-in-N root sampling; <= 0 disables tracing entirely (no ids are
   /// allocated, no spans recorded, and envelopes carry an invalid context).
   int sample_every = 0;
-  /// Span slots per silo ring (rounded up to a power of two). Oldest spans
-  /// are overwritten on wrap.
-  int ring_capacity = 4096;
 };
 
 /// Adaptive overload management: bounded mailboxes with caller-visible
@@ -130,16 +127,11 @@ struct OverloadOptions {
 struct ObservabilityOptions {
   /// Master switch of the flight recorder. Off → Record is a branch.
   bool enable_flight_recorder = true;
-  /// Flight-record slots per silo ring (rounded up to a power of two).
-  /// Oldest events are overwritten on wrap.
-  int flight_ring_capacity = 1024;
   /// Cadence of the background metrics sampler (0 = sampler off, the
   /// default — figure benches must stay bit-identical). When set,
   /// Cluster::StartMetricsSampler records a MetricsSnapshot delta into the
   /// timeline every interval.
   Micros metrics_sample_interval_us = 0;
-  /// Bounded length of the metrics timeline (oldest samples fall off).
-  int metrics_timeline_capacity = 256;
   /// When non-empty, Cluster::Stop writes a postmortem bundle here if the
   /// run leaked promises (the hang-forever bug class); explicit
   /// Cluster::DumpPostmortem(path) works regardless.

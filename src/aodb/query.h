@@ -16,45 +16,48 @@
 
 namespace aodb {
 
+namespace internal {
+
+/// The one scatter-gather both query forms share: once `keys` resolves,
+/// calls projection `m` on each keyed TActor and collects the values in key
+/// order. A failed key lookup or any failed projection fails the query with
+/// the first error.
+template <typename TActor, typename R, typename C, typename... MArgs,
+          typename... Args>
+Future<std::vector<typename CallResult<R>::type>> ProjectKeys(
+    Future<std::vector<std::string>> keys, Cluster& cluster,
+    R (C::*m)(MArgs...), Args... args) {
+  using RT = typename CallResult<R>::type;
+  Promise<std::vector<RT>> out;
+  keys.OnReady([&cluster, m, out,
+                args...](Result<std::vector<std::string>>&& found) mutable {
+    if (!found.ok()) {
+      out.SetError(found.status());
+      return;
+    }
+    std::vector<Future<RT>> calls;
+    calls.reserve(found.value().size());
+    for (const std::string& key : found.value()) {
+      calls.push_back(cluster.Ref<TActor>(key).Call(m, args...));
+    }
+    AllValues(calls).OnReady([out](Result<std::vector<RT>>&& values) {
+      out.SetResult(std::move(values));
+    });
+  });
+  return out.GetFuture();
+}
+
+}  // namespace internal
+
 /// Calls projection method `m` on every registered actor of type TActor and
-/// returns the collected values (order unspecified). Delivery failures fail
-/// the whole query.
+/// returns the collected values (order unspecified). Any failed projection
+/// fails the whole query.
 template <typename TActor, typename R, typename C, typename... MArgs,
           typename... Args>
 Future<std::vector<typename internal::CallResult<R>::type>> QueryAll(
     Cluster& cluster, R (C::*m)(MArgs...), Args... args) {
-  using RT = typename internal::CallResult<R>::type;
-  Promise<std::vector<RT>> out;
-  TypeRegistry::ListAll(cluster, TActor::kTypeName)
-      .OnReady([&cluster, m, out,
-                args...](Result<std::vector<std::string>>&& keys) mutable {
-        if (!keys.ok()) {
-          out.SetError(keys.status());
-          return;
-        }
-        std::vector<Future<RT>> calls;
-        calls.reserve(keys.value().size());
-        for (const std::string& key : keys.value()) {
-          calls.push_back(cluster.Ref<TActor>(key).Call(m, args...));
-        }
-        WhenAll(calls).OnReady([out](Result<std::vector<Result<RT>>>&& rs) {
-          if (!rs.ok()) {
-            out.SetError(rs.status());
-            return;
-          }
-          std::vector<RT> values;
-          values.reserve(rs.value().size());
-          for (auto& r : rs.value()) {
-            if (!r.ok()) {
-              out.SetError(r.status());
-              return;
-            }
-            values.push_back(std::move(r).value());
-          }
-          out.SetValue(std::move(values));
-        });
-      });
-  return out.GetFuture();
+  return internal::ProjectKeys<TActor>(
+      TypeRegistry::ListAll(cluster, TActor::kTypeName), cluster, m, args...);
 }
 
 /// QueryAll with a client-side predicate applied to each projected value.
@@ -81,37 +84,8 @@ template <typename TActor, typename R, typename C, typename... MArgs,
 Future<std::vector<typename internal::CallResult<R>::type>> QueryByIndex(
     Cluster& cluster, const ActorIndex& index, const std::string& value,
     R (C::*m)(MArgs...), Args... args) {
-  using RT = typename internal::CallResult<R>::type;
-  Promise<std::vector<RT>> out;
-  index.Lookup(cluster, value)
-      .OnReady([&cluster, m, out,
-                args...](Result<std::vector<std::string>>&& keys) mutable {
-        if (!keys.ok()) {
-          out.SetError(keys.status());
-          return;
-        }
-        std::vector<Future<RT>> calls;
-        calls.reserve(keys.value().size());
-        for (const std::string& key : keys.value()) {
-          calls.push_back(cluster.Ref<TActor>(key).Call(m, args...));
-        }
-        WhenAll(calls).OnReady([out](Result<std::vector<Result<RT>>>&& rs) {
-          if (!rs.ok()) {
-            out.SetError(rs.status());
-            return;
-          }
-          std::vector<RT> values;
-          for (auto& r : rs.value()) {
-            if (!r.ok()) {
-              out.SetError(r.status());
-              return;
-            }
-            values.push_back(std::move(r).value());
-          }
-          out.SetValue(std::move(values));
-        });
-      });
-  return out.GetFuture();
+  return internal::ProjectKeys<TActor>(index.Lookup(cluster, value), cluster,
+                                       m, args...);
 }
 
 }  // namespace aodb

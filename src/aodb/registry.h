@@ -73,24 +73,14 @@ class TypeRegistry {
           cluster.Ref<RegistryActor>(type + "#" + std::to_string(p))
               .Call(&RegistryActor::List));
     }
-    Promise<std::vector<std::string>> out;
-    WhenAll(parts).OnReady(
-        [out](Result<std::vector<Result<std::vector<std::string>>>>&& r) {
-          if (!r.ok()) {
-            out.SetError(r.status());
-            return;
-          }
+    return AllValues(parts).Then(
+        [](std::vector<std::vector<std::string>>&& lists) {
           std::vector<std::string> all;
-          for (auto& part : r.value()) {
-            if (!part.ok()) {
-              out.SetError(part.status());
-              return;
-            }
-            for (auto& k : part.value()) all.push_back(std::move(k));
+          for (auto& list : lists) {
+            for (auto& k : list) all.push_back(std::move(k));
           }
-          out.SetValue(std::move(all));
+          return all;
         });
-    return out.GetFuture();
   }
 };
 

@@ -100,21 +100,10 @@ Future<Status> TxnManager::RunOnce(std::vector<TxnOp> ops) {
   Cluster* cluster = cluster_;
   Counter* aborts = aborts_;
   Micros start_us = cluster_->client_executor()->clock()->Now();
-  WhenAll(prepares).OnReady([cluster, ops = std::move(ops), txn_id, done,
-                             aborts, txn_ctx, parent_span, start_us](
-                                Result<std::vector<Result<Status>>>&& r) {
-    Status outcome = Status::OK();
-    if (!r.ok()) {
-      outcome = r.status();
-    } else {
-      for (const auto& p : r.value()) {
-        Status st = p.ok() ? p.value() : p.status();
-        if (!st.ok()) {
-          outcome = st;
-          break;
-        }
-      }
-    }
+  AllOk(prepares).OnReady([cluster, ops = std::move(ops), txn_id, done, aborts,
+                           txn_ctx, parent_span,
+                           start_us](Result<Status>&& r) {
+    const Status& outcome = r.value();
     // Phase 2: commit everywhere on success, abort everywhere otherwise.
     // Abort is also sent to participants whose prepare failed; they ignore
     // it (lock not held by this txn), which keeps the protocol simple.

@@ -5,30 +5,6 @@
 namespace aodb {
 namespace cattle {
 
-namespace {
-
-/// Collapses a WhenAll of Status calls into a single Status future.
-Future<Status> AllOk(std::vector<Future<Status>> acks) {
-  Promise<Status> done;
-  WhenAll(acks).OnReady([done](Result<std::vector<Result<Status>>>&& r) {
-    if (!r.ok()) {
-      done.SetValue(r.status());
-      return;
-    }
-    for (const auto& ack : r.value()) {
-      Status st = ack.ok() ? ack.value() : ack.status();
-      if (!st.ok()) {
-        done.SetValue(st);
-        return;
-      }
-    }
-    done.SetValue(Status::OK());
-  });
-  return done.GetFuture();
-}
-
-}  // namespace
-
 // --- DeliveryActor -----------------------------------------------------------
 
 Status DeliveryActor::Plan(std::string distributor_key,
@@ -56,7 +32,7 @@ Future<Status> DeliveryActor::StampAll(ItineraryEntry entry) {
     acks.push_back(ctx().Ref<MeatCutActor>(key).CallWith(
         opts, &MeatCutActor::AddItinerary, entry));
   }
-  return AllOk(std::move(acks));
+  return AllOk(acks);
 }
 
 Future<Status> DeliveryActor::Depart() {

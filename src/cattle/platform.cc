@@ -176,23 +176,7 @@ Future<Status> CattlePlatform::RegisterCow(const std::string& cow_key,
     return cluster->Ref<FarmerActor>(farmer_key)
         .Call(&FarmerActor::RegisterCow, cow_key);
   });
-  Promise<Status> done;
-  WhenAll(std::vector<Future<Status>>{cow_ack, farmer_ack})
-      .OnReady([done](Result<std::vector<Result<Status>>>&& r) {
-        if (!r.ok()) {
-          done.SetValue(r.status());
-          return;
-        }
-        for (const auto& ack : r.value()) {
-          Status st = ack.ok() ? ack.value() : ack.status();
-          if (!st.ok()) {
-            done.SetValue(st);
-            return;
-          }
-        }
-        done.SetValue(Status::OK());
-      });
-  return done.GetFuture();
+  return AllOk({cow_ack, farmer_ack});
 }
 
 Future<Status> CattlePlatform::TransferOwnershipTxn(

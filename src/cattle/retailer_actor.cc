@@ -59,23 +59,11 @@ Future<ProductTrace> MeatProductActor::Trace() {
     calls.push_back(
         ctx().Ref<MeatCutActor>(key).CallWith(opts, &MeatCutActor::Trace));
   }
-  Promise<ProductTrace> done;
-  WhenAll(calls).OnReady(
-      [done, trace](Result<std::vector<Result<CutTrace>>>&& r) mutable {
-        if (!r.ok()) {
-          done.SetError(r.status());
-          return;
-        }
-        for (auto& c : r.value()) {
-          if (!c.ok()) {
-            done.SetError(c.status());
-            return;
-          }
-          trace.cuts.push_back(std::move(c).value());
-        }
-        done.SetValue(std::move(trace));
+  return AllValues(calls).Then(
+      [trace = std::move(trace)](std::vector<CutTrace>&& cuts) mutable {
+        trace.cuts = std::move(cuts);
+        return std::move(trace);
       });
-  return done.GetFuture();
 }
 
 std::vector<std::string> MeatProductActor::CutKeys() { return cut_keys_; }
@@ -167,23 +155,13 @@ Future<int64_t> RetailerActor::AuditCutsRemote(
           ctx().Ref<MeatCutActor>(key).CallWith(opts, &MeatCutActor::Trace));
     }
   }
-  Promise<int64_t> done;
-  WhenAll(calls).OnReady([done](Result<std::vector<Result<CutTrace>>>&& r) {
-    if (!r.ok()) {
-      done.SetError(r.status());
-      return;
-    }
+  return AllValues(calls).Then([](std::vector<CutTrace>&& cuts) {
     int64_t hops = 0;
-    for (auto& c : r.value()) {
-      if (!c.ok()) {
-        done.SetError(c.status());
-        return;
-      }
-      hops += static_cast<int64_t>(c.value().itinerary.size());
+    for (const CutTrace& c : cuts) {
+      hops += static_cast<int64_t>(c.itinerary.size());
     }
-    done.SetValue(hops);
+    return hops;
   });
-  return done.GetFuture();
 }
 
 int64_t RetailerActor::AuditCutsLocal(std::vector<std::string> cut_keys,

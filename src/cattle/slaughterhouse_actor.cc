@@ -45,21 +45,13 @@ Future<std::vector<std::string>> SlaughterhouseActor::CreateCuts(
         std::string("slaughterhouse floor")));
   }
   Promise<std::vector<std::string>> done;
-  WhenAll(acks).OnReady(
-      [done, keys](Result<std::vector<Result<Status>>>&& r) {
-        if (!r.ok()) {
-          done.SetError(r.status());
-          return;
-        }
-        for (const auto& ack : r.value()) {
-          Status st = ack.ok() ? ack.value() : ack.status();
-          if (!st.ok()) {
-            done.SetError(st);
-            return;
-          }
-        }
-        done.SetValue(keys);
-      });
+  AllOk(acks).OnReady([done, keys](Result<Status>&& r) {
+    if (r.value().ok()) {
+      done.SetValue(keys);
+    } else {
+      done.SetError(r.value());
+    }
+  });
   return done.GetFuture();
 }
 

@@ -112,7 +112,10 @@ struct MetricsSnapshot {
 /// background cadence, never on the message hot path.
 class MetricsTimeline {
  public:
-  explicit MetricsTimeline(size_t capacity = 256)
+  /// Samples the cluster's timeline keeps; the oldest fall off.
+  static constexpr size_t kDefaultCapacity = 256;
+
+  explicit MetricsTimeline(size_t capacity = kDefaultCapacity)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
   /// Appends the delta of `snap` against the previously recorded snapshot

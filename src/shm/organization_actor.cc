@@ -108,25 +108,7 @@ Future<std::vector<LiveDataEntry>> OrganizationActor::LiveData() {
           opts, &PhysicalChannelActor::Latest));
     }
   }
-  Promise<std::vector<LiveDataEntry>> done;
-  WhenAll(calls).OnReady(
-      [done](Result<std::vector<Result<LiveDataEntry>>>&& r) {
-        if (!r.ok()) {
-          done.SetError(r.status());
-          return;
-        }
-        std::vector<LiveDataEntry> out;
-        out.reserve(r.value().size());
-        for (auto& e : r.value()) {
-          if (!e.ok()) {
-            done.SetError(e.status());
-            return;
-          }
-          out.push_back(std::move(e).value());
-        }
-        done.SetValue(std::move(out));
-      });
-  return done.GetFuture();
+  return AllValues(calls);
 }
 
 std::vector<std::string> OrganizationActor::ChannelKeys() {

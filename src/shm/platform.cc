@@ -203,22 +203,7 @@ Future<Status> ShmPlatform::Setup(const ShmTopology& t) {
                                  std::string("p0"), SensorKey(s),
                                  std::move(org_channel_keys)));
   }
-  Promise<Status> done;
-  WhenAll(acks).OnReady([done](Result<std::vector<Result<Status>>>&& r) {
-    if (!r.ok()) {
-      done.SetValue(r.status());
-      return;
-    }
-    for (const auto& ack : r.value()) {
-      Status st = ack.ok() ? ack.value() : ack.status();
-      if (!st.ok()) {
-        done.SetValue(st);
-        return;
-      }
-    }
-    done.SetValue(Status::OK());
-  });
-  return done.GetFuture();
+  return AllOk(acks);
 }
 
 Future<Status> ShmPlatform::Insert(const ShmTopology& t, int sensor,

@@ -43,22 +43,7 @@ Future<Status> SensorActor::SetupChannels(std::string org_key,
                                  virtual_spec.aggs));
   }
   MarkDirty();
-  Promise<Status> done;
-  WhenAll(acks).OnReady([done](Result<std::vector<Result<Status>>>&& r) {
-    if (!r.ok()) {
-      done.SetValue(r.status());
-      return;
-    }
-    for (const auto& ack : r.value()) {
-      Status st = ack.ok() ? ack.value() : ack.status();
-      if (!st.ok()) {
-        done.SetValue(st);
-        return;
-      }
-    }
-    done.SetValue(Status::OK());
-  });
-  return done.GetFuture();
+  return AllOk(acks);
 }
 
 void SensorActor::SetPosition(double x, double y) {
@@ -106,22 +91,7 @@ Future<Status> SensorActor::InsertImpl(std::vector<DataPoint> points,
                 : ref.CallWith(opts, &PhysicalChannelActor::Append,
                                std::move(batch)));
   }
-  Promise<Status> done;
-  WhenAll(acks).OnReady([done](Result<std::vector<Result<Status>>>&& r) {
-    if (!r.ok()) {
-      done.SetValue(r.status());
-      return;
-    }
-    for (const auto& ack : r.value()) {
-      Status st = ack.ok() ? ack.value() : ack.status();
-      if (!st.ok()) {
-        done.SetValue(st);
-        return;
-      }
-    }
-    done.SetValue(Status::OK());
-  });
-  return done.GetFuture();
+  return AllOk(acks);
 }
 
 int64_t SensorActor::Packets() { return state().packets; }

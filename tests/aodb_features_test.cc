@@ -78,6 +78,14 @@ class ItemActor : public ActorBase {
     return Status::OK();
   }
   int64_t Value() { return value_; }
+  /// Value projection that fails for a negative value (a corrupt item).
+  Future<int64_t> CheckedValue() {
+    if (value_ < 0) {
+      return Future<int64_t>::FromError(
+          Status::Corruption("negative value in " + ctx().self().key));
+    }
+    return Future<int64_t>::FromValue(value_);
+  }
   std::string Tag() { return tag_; }
 
  private:
@@ -97,6 +105,8 @@ class ItemActor : public ActorBase {
   RegisterWireOrDie(ItemActor::kTypeName, &ItemActor::Retag, "Item.Retag");
   RegisterWireOrDie(ItemActor::kTypeName, &ItemActor::Value, "Item.Value",
                     /*idempotent=*/true);
+  RegisterWireOrDie(ItemActor::kTypeName, &ItemActor::CheckedValue,
+                    "Item.CheckedValue", /*idempotent=*/true);
   RegisterWireOrDie(ItemActor::kTypeName, &ItemActor::Tag, "Item.Tag",
                     /*idempotent=*/true);
   return true;
@@ -269,6 +279,30 @@ TEST_F(AodbFeaturesTest, QueryByIndexProjectsHits) {
   int64_t sum = 0;
   for (int64_t v : evens) sum += v;
   EXPECT_EQ(sum, 0 + 2 + 4);
+}
+
+TEST_F(AodbFeaturesTest, QueriesFailWithAProjectionError) {
+  ActorIndex index("item_by_tag");
+  for (int i = 0; i < 4; ++i) {
+    harness_.cluster()
+        .Ref<ItemActor>("z" + std::to_string(i))
+        .Tell(&ItemActor::Init, std::string("mixed"),
+              int64_t{i == 2 ? -1 : i});
+  }
+  harness_.RunFor(10 * kMicrosPerSecond);
+  auto all = QueryAll<ItemActor>(harness_.cluster(), &ItemActor::CheckedValue);
+  auto hits = QueryByIndex<ItemActor>(harness_.cluster(), index, "mixed",
+                                      &ItemActor::CheckedValue);
+  harness_.RunFor(20 * kMicrosPerSecond);
+  for (const auto& query : {all, hits}) {
+    ASSERT_TRUE(query.Ready());
+    auto r = query.Get();
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
+    EXPECT_NE(r.status().ToString().find("negative value in z2"),
+              std::string::npos)
+        << r.status().ToString();
+  }
 }
 
 TEST_F(AodbFeaturesTest, WorkflowRunsStepsInOrder) {

@@ -144,6 +144,138 @@ TEST(WhenAllTest, MixedSuccessAndErrorAreBothDelivered) {
   EXPECT_TRUE(results[2].ok());
 }
 
+// --- Fan-in combinators ------------------------------------------------------
+
+// The futures of `promises`, for driving the combinators by hand.
+template <typename T>
+std::vector<Future<T>> FuturesOf(const std::vector<Promise<T>>& promises) {
+  std::vector<Future<T>> futures;
+  for (const Promise<T>& p : promises) futures.push_back(p.GetFuture());
+  return futures;
+}
+
+TEST(AllOkTest, EmptyInputIsOk) {
+  auto f = AllOk({});
+  ASSERT_TRUE(f.Ready());
+  ASSERT_TRUE(f.Get().ok());
+  EXPECT_TRUE(f.Get().value().ok());
+}
+
+TEST(AllOkTest, AllOkInputsResolveOk) {
+  std::vector<Promise<Status>> promises(3);
+  auto f = AllOk(FuturesOf(promises));
+  for (auto& p : promises) p.SetValue(Status::OK());
+  ASSERT_TRUE(f.Ready());
+  EXPECT_TRUE(f.Get().value().ok());
+}
+
+TEST(AllOkTest, FirstFailureByIndexWinsEvenWhenALaterInputFailsFirst) {
+  std::vector<Promise<Status>> promises(4);
+  auto f = AllOk(FuturesOf(promises));
+  promises[3].SetError(Status::Unavailable("later input, failed first"));
+  promises[0].SetValue(Status::OK());
+  promises[1].SetValue(Status::NotFound("earliest failing input"));
+  promises[2].SetValue(Status::OK());
+  ASSERT_TRUE(f.Ready());
+  // The failure is the resolved value, not a transport error.
+  ASSERT_TRUE(f.Get().ok());
+  EXPECT_TRUE(f.Get().value().IsNotFound());
+}
+
+TEST(AllOkTest, StaysPendingWhileAnyInputIsPendingAfterAnError) {
+  std::vector<Promise<Status>> promises(3);
+  auto f = AllOk(FuturesOf(promises));
+  promises[0].SetError(Status::Aborted("first input failed"));
+  promises[2].SetValue(Status::OK());
+  EXPECT_FALSE(f.Ready()) << "must wait for every input, not fail fast";
+  promises[1].SetValue(Status::OK());
+  ASSERT_TRUE(f.Ready());
+  EXPECT_TRUE(f.Get().value().IsAborted());
+}
+
+TEST(AllOkTest, ReturnedStatusAndTransportErrorBothCount) {
+  {
+    std::vector<Promise<Status>> promises(2);
+    auto f = AllOk(FuturesOf(promises));
+    promises[0].SetValue(Status::OK());
+    promises[1].SetValue(Status::Corruption("returned"));
+    EXPECT_TRUE(f.Get().value().IsCorruption());
+  }
+  {
+    std::vector<Promise<Status>> promises(2);
+    auto f = AllOk(FuturesOf(promises));
+    promises[0].SetValue(Status::OK());
+    promises[1].SetError(Status::Timeout("transport"));
+    EXPECT_TRUE(f.Get().value().IsTimeout());
+  }
+}
+
+TEST(AllValuesTest, EmptyInputResolvesToNoValues) {
+  auto f = AllValues(std::vector<Future<int>>{});
+  ASSERT_TRUE(f.Ready());
+  ASSERT_TRUE(f.Get().ok());
+  EXPECT_TRUE(f.Get().value().empty());
+}
+
+TEST(AllValuesTest, ValuesComeBackInInputOrder) {
+  std::vector<Promise<int>> promises(4);
+  auto f = AllValues(FuturesOf(promises));
+  promises[2].SetValue(2);
+  promises[0].SetValue(0);
+  promises[3].SetValue(3);
+  EXPECT_FALSE(f.Ready());
+  promises[1].SetValue(1);
+  ASSERT_TRUE(f.Ready());
+  EXPECT_EQ(f.Get().value(), (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(AllValuesTest, FirstErrorByIndexWinsEvenWhenALaterInputFailsFirst) {
+  std::vector<Promise<int>> promises(3);
+  auto f = AllValues(FuturesOf(promises));
+  promises[2].SetError(Status::Unavailable("later input, failed first"));
+  promises[1].SetError(Status::NotFound("earliest failing input"));
+  promises[0].SetValue(0);
+  ASSERT_TRUE(f.Ready());
+  ASSERT_FALSE(f.Get().ok());
+  EXPECT_TRUE(f.Get().status().IsNotFound());
+}
+
+TEST(AllValuesTest, StaysPendingWhileAnyInputIsPendingAfterAnError) {
+  std::vector<Promise<int>> promises(3);
+  auto f = AllValues(FuturesOf(promises));
+  promises[0].SetError(Status::Aborted("first input failed"));
+  promises[1].SetValue(1);
+  EXPECT_FALSE(f.Ready()) << "must wait for every input, not fail fast";
+  promises[2].SetValue(2);
+  ASSERT_TRUE(f.Ready());
+  EXPECT_TRUE(f.Get().status().IsAborted());
+}
+
+TEST(FanInThreadedTest, CompletionFromEightThreads) {
+  constexpr int kThreads = 8;
+  for (int round = 0; round < 50; ++round) {
+    std::vector<Promise<int>> values(kThreads);
+    std::vector<Promise<Status>> acks(kThreads);
+    auto all_values = AllValues(FuturesOf(values));
+    auto all_ok = AllOk(FuturesOf(acks));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&values, &acks, t] {
+        values[t].SetValue(t * 10);
+        acks[t].SetValue(t == 5 ? Status::Aborted("five")
+                                : t == 6 ? Status::Internal("six")
+                                         : Status::OK());
+      });
+    }
+    std::vector<int> got = all_values.Get().value();
+    Status ack = all_ok.Get().value();
+    for (auto& th : threads) th.join();
+    ASSERT_EQ(got.size(), static_cast<size_t>(kThreads));
+    for (int t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], t * 10);
+    EXPECT_TRUE(ack.IsAborted()) << "index 5 precedes index 6";
+  }
+}
+
 TEST(FutureThreadedTest, ConcurrentFulfillAndWait) {
   for (int round = 0; round < 50; ++round) {
     Promise<int> p;

@@ -17,6 +17,7 @@
 #include "actor/flight_recorder.h"
 #include "actor/retry_async.h"
 #include "common/json.h"
+#include "common/lossy_ring.h"
 #include "common/retry.h"
 #include "common/telemetry.h"
 #include "sim/sim_harness.h"
@@ -45,10 +46,10 @@ class ObsCounter : public ActorBase {
   return true;
 }();
 
-// --- FlightRing / FlightRecorder mechanics -----------------------------------
+// --- LossyRing of flight records / FlightRecorder mechanics ------------------
 
-TEST(FlightRing, KeepsNewestAcrossWrap) {
-  FlightRing ring(8);
+TEST(LossyRingTest, KeepsNewestAcrossWrap) {
+  LossyRing<FlightRecord> ring(8);
   for (int i = 0; i < 20; ++i) {
     FlightRecord rec;
     rec.at_us = i;
@@ -62,7 +63,7 @@ TEST(FlightRing, KeepsNewestAcrossWrap) {
 }
 
 TEST(FlightRecorder, DisabledRecordsNothing) {
-  FlightRecorder rec(2, /*enabled=*/false, 64, nullptr);
+  FlightRecorder rec(2, /*enabled=*/false, nullptr);
   EXPECT_FALSE(rec.enabled());
   rec.Record(FlightEventType::kActivate, 0, "t/a", 1, 0, 10);
   EXPECT_TRUE(rec.Collect().empty());
@@ -70,7 +71,7 @@ TEST(FlightRecorder, DisabledRecordsNothing) {
 }
 
 TEST(FlightRecorder, MergesRingsInTimeOrderAndTruncatesNames) {
-  FlightRecorder rec(2, /*enabled=*/true, 64, nullptr);
+  FlightRecorder rec(2, /*enabled=*/true, nullptr);
   const std::string long_name(100, 'x');
   rec.Record(FlightEventType::kActivate, 0, long_name, 0, 0, 50);
   rec.Record(FlightEventType::kDeactivate, 1, "t/k", 0, 0, 20);

@@ -21,6 +21,7 @@
 #include "aodb/txn.h"
 #include "aodb/wire.h"
 #include "aodb/workflow.h"
+#include "common/lossy_ring.h"
 #include "common/telemetry.h"
 #include "shm/platform.h"
 #include "sim/sim_harness.h"
@@ -548,10 +549,10 @@ TEST(ClusterMetricsTest, RuntimeCountersLandInTheRegistry) {
             std::string::npos);
 }
 
-// --- SpanRing ----------------------------------------------------------------
+// --- LossyRing of spans ------------------------------------------------------
 
-TEST(SpanRingTest, KeepsNewestOnWrapAndSurvivesConcurrentPush) {
-  SpanRing ring(16);
+TEST(LossyRingTest, KeepsNewestOnWrapAndSurvivesConcurrentPush) {
+  LossyRing<SpanRecord> ring(16);
   for (uint64_t i = 1; i <= 40; ++i) {
     SpanRecord r;
     r.trace_id = 1;
@@ -565,7 +566,7 @@ TEST(SpanRingTest, KeepsNewestOnWrapAndSurvivesConcurrentPush) {
     EXPECT_GT(s.span_id, 24u) << "wrap-around keeps only the newest spans";
   }
 
-  SpanRing hot(64);
+  LossyRing<SpanRecord> hot(64);
   std::atomic<int64_t> pushed{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
