@@ -34,13 +34,15 @@ ASAN_TESTS=(
   scale_paging_test future_test
 )
 # TSan leg: data races in the membership agents, eviction/failover paths,
-# real-mode thread pools, the concurrent telemetry recorders, the flight
-# recorder, the overload/migration machinery, and the future/fan-in gather
-# completed from many threads (ASan and TSan cannot share a build).
+# real-mode thread pools (including delivery racing activation, idle sweep
+# and page-out on the striped catalog), the concurrent telemetry recorders,
+# the flight recorder, the overload/migration machinery, the future/fan-in
+# gather completed from many threads, and the lock-free method-registry
+# lookups racing a registration (ASan and TSan cannot share a build).
 TSAN_TESTS=(
   membership_test fault_injection_test real_mode_stress_test
   telemetry_test scheduler_test overload_test observability_test
-  scale_paging_test future_test
+  scale_paging_test future_test wire_registry_test
 )
 
 # Joins a test list into the anchored regex ctest -R expects.

@@ -271,9 +271,9 @@ void Cluster::SendWire(Envelope env, SiloId from, SiloId target,
   wire_request_bytes_->Add(bytes);
   Executor* exec = silo_executors_[target];
   Cluster* self = this;
-  WireReplyHandler reply = std::move(env.on_wire_reply);
-  auto deliver = [self, target, from, frame, reply] {
-    self->DeliverWireFrame(target, from, frame, reply);
+  auto deliver = [self, target, from, frame,
+                  reply = std::move(env.on_wire_reply)] {
+    self->DeliverWireFrame(target, from, *frame, reply);
   };
   // A reorder hold-back lands AFTER the FIFO arrival slot is claimed, so
   // fresher frames on the channel overtake this one.
@@ -296,19 +296,32 @@ void Cluster::SendWire(Envelope env, SiloId from, SiloId target,
   exec->PostAt(arrival + reorder_us, deliver);
 }
 
+/// One wire request being served on its target silo: the decoded argument
+/// payload and the caller's reply route. The dispatch closure, the failure
+/// hook, the reply hook and a reroute's re-encode all share it, so each of
+/// them captures one pointer and stays inline, and a request costs one
+/// allocation here instead of one per closure.
+struct Cluster::InboundCall {
+  Cluster* cluster;
+  const WireMethodEntry* entry;
+  SiloId caller_silo;
+  std::string args;
+  WireReplyHandler reply;
+};
+
 void Cluster::DeliverWireFrame(SiloId target, SiloId caller_silo,
-                               std::shared_ptr<const std::string> frame,
-                               WireReplyHandler reply) {
-  auto req = std::make_shared<WireRequest>();
-  Status st = WireDecodeRequest(*frame, req.get());
+                               const std::string& frame,
+                               const WireReplyHandler& reply) {
+  WireRequest req;
+  Status st = WireDecodeRequest(frame, &req);
   const WireMethodEntry* entry = nullptr;
   if (st.ok()) {
-    entry = MethodRegistry::Global().FindEntry(req->target.type,
-                                               req->method_id);
+    entry = MethodRegistry::Global().FindEntry(req.target.type,
+                                               req.method_id);
     if (entry == nullptr) {
       st = Status::FailedPrecondition(
-          "no wire method registered for type " + req->target.type + " (id " +
-          std::to_string(req->method_id) + ")");
+          "no wire method registered for type " + req.target.type + " (id " +
+          std::to_string(req.method_id) + ")");
     }
   }
   if (!st.ok()) {
@@ -323,42 +336,43 @@ void Cluster::DeliverWireFrame(SiloId target, SiloId caller_silo,
     }
     return;
   }
-  Silo* silo = silos_[target].get();
+  auto call = std::make_shared<InboundCall>(
+      InboundCall{this, entry, caller_silo, std::move(req.args), reply});
   Envelope env;
-  env.target = req->target;
+  env.target = std::move(req.target);
   env.caller_silo = caller_silo;
-  env.principal = req->principal;
-  env.cost_us = req->cost_us + options_.network.serialization_cost_us;
-  env.deadline_us = req->deadline_us;
-  env.priority = static_cast<MessagePriority>(req->priority);
-  env.trace.trace_id = req->trace_id;
-  env.trace.span_id = req->parent_span_id;
-  env.trace.sampled = req->trace_sampled;
+  env.principal = std::move(req.principal);
+  env.cost_us = req.cost_us + options_.network.serialization_cost_us;
+  env.deadline_us = req.deadline_us;
+  env.priority = static_cast<MessagePriority>(req.priority);
+  env.trace.trace_id = req.trace_id;
+  env.trace.span_id = req.parent_span_id;
+  env.trace.sampled = req.trace_sampled;
   // Keep the wire capability on the dispatch envelope: if the silo reroutes
   // it (deactivation race, crash) to another silo, the resend ships the
   // cached argument payload again.
   env.wire = &entry->info;
-  auto args = std::make_shared<const std::string>(std::move(req->args));
-  env.wire_encode_args = [args] { return *args; };
-  env.on_wire_reply = reply;
-  Cluster* self = this;
-  env.fn = [self, entry, args, reply, caller_silo](ActorBase& base) {
-    SiloId here = base.ctx().silo();
+  env.wire_encode_args = [call] { return call->args; };
+  env.fn = [call](ActorBase& base) {
     WireReplyFn send_reply;
-    if (reply) {
-      send_reply = [self, here, caller_silo, reply](std::string payload) {
-        self->SendWireReply(here, caller_silo, reply, std::move(payload));
+    if (call->reply) {
+      send_reply = [call, here = base.ctx().silo()](std::string payload) {
+        call->cluster->SendWireReply(here, call->caller_silo, call->reply,
+                                     std::move(payload));
       };
     }
-    BufReader r(*args);
-    entry->invoke(base, r, send_reply);
+    BufReader r(call->args);
+    call->entry->invoke(base, r, send_reply);
   };
   if (reply) {
-    env.fail = [reply](const Status& fail_st) {
-      reply(Result<std::string>::FromError(fail_st));
+    env.on_wire_reply = [call](Result<std::string>&& r) {
+      call->reply(std::move(r));
+    };
+    env.fail = [call](const Status& fail_st) {
+      call->reply(Result<std::string>::FromError(fail_st));
     };
   }
-  silo->Deliver(std::move(env));
+  silos_[target]->Deliver(std::move(env));
 }
 
 void Cluster::SendWireReply(SiloId from, SiloId to,
@@ -415,23 +429,17 @@ MetricsSnapshot Cluster::SnapshotMetrics() const {
   return metrics_.Snapshot();
 }
 
-void Cluster::RecordTurnProfile(const std::string& type, Micros queue_wait_us,
-                                Micros exec_us) {
-  TurnProfile prof;
+Cluster::TurnProfile Cluster::TurnProfileFor(const std::string& type) {
   {
     std::shared_lock<std::shared_mutex> lock(turn_profile_mu_);
     auto it = turn_profiles_.find(type);
-    if (it != turn_profiles_.end()) prof = it->second;
+    if (it != turn_profiles_.end()) return it->second;
   }
-  if (prof.queue_wait == nullptr) {
-    TurnProfile fresh;
-    fresh.queue_wait = metrics_.GetHistogram("turn.queue_wait_us." + type);
-    fresh.exec = metrics_.GetHistogram("turn.exec_us." + type);
-    std::unique_lock<std::shared_mutex> lock(turn_profile_mu_);
-    prof = turn_profiles_.emplace(type, fresh).first->second;
-  }
-  prof.queue_wait->Record(queue_wait_us);
-  prof.exec->Record(exec_us);
+  TurnProfile fresh;
+  fresh.queue_wait = metrics_.GetHistogram("turn.queue_wait_us." + type);
+  fresh.exec = metrics_.GetHistogram("turn.exec_us." + type);
+  std::unique_lock<std::shared_mutex> lock(turn_profile_mu_);
+  return turn_profiles_.emplace(type, fresh).first->second;
 }
 
 Status Cluster::CheckWireRegistry() const {
@@ -470,7 +478,7 @@ std::string Cluster::ReminderKey(const ActorId& id, const std::string& name) {
 Status Cluster::RegisterReminder(const ActorId& id, const std::string& name,
                                  Micros period_us) {
   if (period_us <= 0) return Status::InvalidArgument("period must be > 0");
-  auto alive = std::make_shared<bool>(true);
+  auto alive = std::make_shared<std::atomic<bool>>(true);
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto& entry = reminders_[ReminderKey(id, name)];
@@ -517,7 +525,7 @@ Status Cluster::LoadReminders() {
     BufReader r(value);
     uint64_t period = 0;
     if (!r.GetVarint(&period).ok()) continue;
-    auto alive = std::make_shared<bool>(true);
+    auto alive = std::make_shared<std::atomic<bool>>(true);
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto& entry = reminders_[key];
@@ -537,7 +545,7 @@ size_t Cluster::ActiveReminders() const {
 
 void Cluster::ScheduleReminder(const ActorId& id, const std::string& name,
                                Micros period_us,
-                               std::shared_ptr<bool> alive) {
+                               std::shared_ptr<std::atomic<bool>> alive) {
   // Reminder ticks originate from the runtime (client node executor) and
   // travel the wire lane as the runtime-owned ActorBase::ReceiveReminder
   // method, re-activating the target if needed. The argument payload is
@@ -571,7 +579,7 @@ void Cluster::ScheduleReminder(const ActorId& id, const std::string& name,
 
 void Cluster::StartIdleScanner() {
   if (!options_.lifecycle.enable_idle_deactivation) return;
-  auto alive = std::make_shared<bool>(true);
+  auto alive = std::make_shared<std::atomic<bool>>(true);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (scanner_alive_) *scanner_alive_ = false;
@@ -597,7 +605,7 @@ void Cluster::StartIdleScanner() {
 
 void Cluster::StartOverloadController() {
   if (!options_.overload.enable_hot_migration) return;
-  auto alive = std::make_shared<bool>(true);
+  auto alive = std::make_shared<std::atomic<bool>>(true);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (overload_alive_) *overload_alive_ = false;
@@ -623,7 +631,7 @@ void Cluster::StartOverloadController() {
 void Cluster::StartMetricsSampler() {
   Micros interval = options_.observability.metrics_sample_interval_us;
   if (interval <= 0) return;
-  auto alive = std::make_shared<bool>(true);
+  auto alive = std::make_shared<std::atomic<bool>>(true);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (sampler_alive_) *sampler_alive_ = false;

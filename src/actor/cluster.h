@@ -291,13 +291,15 @@ class Cluster {
   /// All buffered traces, parent-linked, as JSON (see Tracer::DumpJson).
   std::string DumpTraceJson() const { return tracer_.DumpJson(); }
 
-  /// Records one turn's mailbox wait and measured execution time into the
-  /// per-actor-type profile histograms ("turn.queue_wait_us.<type>",
-  /// "turn.exec_us.<type>"). Called by the silo after every turn; the
-  /// per-type pointers are cached so the hot path takes a shared lock and
-  /// no allocation.
-  void RecordTurnProfile(const std::string& type, Micros queue_wait_us,
-                         Micros exec_us);
+  /// The per-actor-type turn-profile histograms ("turn.queue_wait_us.<type>",
+  /// "turn.exec_us.<type>"). The silo resolves them once per activation, on
+  /// its first turn, and records every later turn through the cached
+  /// pointers with no lookup, hashing or lock.
+  struct TurnProfile {
+    ConcurrentHistogram* queue_wait = nullptr;
+    ConcurrentHistogram* exec = nullptr;
+  };
+  TurnProfile TurnProfileFor(const std::string& type);
 
   /// Registry completeness check for fail-fast startup: every registered
   /// actor type must have at least one wire-registered method. Returns
@@ -307,11 +309,12 @@ class Cluster {
 
  private:
   struct ReminderEntry {
-    std::shared_ptr<bool> alive;
+    std::shared_ptr<std::atomic<bool>> alive;
     Micros period_us = 0;
   };
 
-  using WireReplyHandler = std::function<void(Result<std::string>&&)>;
+  /// One wire request being served on its target silo (defined in the .cc).
+  struct InboundCall;
 
   /// One wire call in flight against a remote silo, tracked (only when
   /// membership is enabled) so eviction can fail it over. `env` is a copy
@@ -348,15 +351,16 @@ class Cluster {
   /// Runs on the target executor: verifies and decodes the frame, resolves
   /// the method in the registry, and delivers a dispatch envelope.
   void DeliverWireFrame(SiloId target, SiloId caller_silo,
-                        std::shared_ptr<const std::string> frame,
-                        WireReplyHandler reply);
+                        const std::string& frame,
+                        const WireReplyHandler& reply);
   /// Seals and ships an encoded Result payload back to the caller node
   /// (delivered inline when the caller is on the replying silo).
   void SendWireReply(SiloId from, SiloId to, const WireReplyHandler& reply,
                      std::string result_payload);
 
   void ScheduleReminder(const ActorId& id, const std::string& name,
-                        Micros period_us, std::shared_ptr<bool> alive);
+                        Micros period_us,
+                        std::shared_ptr<std::atomic<bool>> alive);
   static std::string ReminderKey(const ActorId& id, const std::string& name);
 
   const RuntimeOptions options_;
@@ -413,11 +417,7 @@ class Cluster {
   Counter* wire_reply_bytes_;
   Counter* wire_decode_failures_;
 
-  /// Per-actor-type turn-profile histograms (see RecordTurnProfile).
-  struct TurnProfile {
-    ConcurrentHistogram* queue_wait = nullptr;
-    ConcurrentHistogram* exec = nullptr;
-  };
+  /// Per-actor-type turn-profile histograms (see TurnProfileFor).
   mutable std::shared_mutex turn_profile_mu_;
   std::unordered_map<std::string, TurnProfile> turn_profiles_;
 
@@ -431,9 +431,11 @@ class Cluster {
   std::unordered_map<std::string, int> type_mailbox_depth_;
   std::unordered_map<std::string, int> type_max_resident_;
   std::unordered_map<std::string, ReminderEntry> reminders_;
-  std::shared_ptr<bool> scanner_alive_;
-  std::shared_ptr<bool> overload_alive_;
-  std::shared_ptr<bool> sampler_alive_;
+  /// Liveness flags of the periodic loops: cleared by Stop() while the
+  /// loops read them on executor timer threads, hence atomic.
+  std::shared_ptr<std::atomic<bool>> scanner_alive_;
+  std::shared_ptr<std::atomic<bool>> overload_alive_;
+  std::shared_ptr<std::atomic<bool>> sampler_alive_;
   /// Process-wide PromisesLeaked() at construction; Stop() publishes the
   /// lifetime delta as the "runtime.leaked_promises" gauge, so a run that
   /// dropped a continuation on the floor is visible in the registry.

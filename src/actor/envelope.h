@@ -5,7 +5,6 @@
 #ifndef AODB_ACTOR_ENVELOPE_H_
 #define AODB_ACTOR_ENVELOPE_H_
 
-#include <functional>
 #include <string>
 
 #include "actor/actor_id.h"
@@ -24,6 +23,16 @@ struct WireMethodInfo;
 /// inline: the same-silo closure lane then sends a message without a single
 /// std::function heap allocation.
 using EnvelopeFn = SmallFunction<void(ActorBase&), 96>;
+
+/// The envelope's other per-send callables. Each captures one ref-counted
+/// handle (the caller's promise, or the shared call object of a wire
+/// request), so all of them stay inline at the size of a std::function and
+/// building an envelope allocates no closure.
+using EnvelopeFailFn = SmallFunction<void(const Status&), 24>;
+using WireEncodeFn = SmallFunction<std::string(), 24>;
+/// Caller-side completion of a wire call: the sealed reply frame or a
+/// transport error.
+using WireReplyHandler = SmallFunction<void(Result<std::string>&&), 24>;
 
 /// Default simulated CPU cost of applying one message, when the caller does
 /// not specify one. Calibration notes live in src/actor/cost_model.h.
@@ -67,7 +76,7 @@ struct Envelope {
   /// Invoked instead of `fn` if the message can never be delivered (e.g.
   /// the target type is unregistered or activation failed). Calls created
   /// through ActorRef wire this to the caller's promise.
-  std::function<void(const Status&)> fail;
+  EnvelopeFailFn fail;
   /// Set on timer ticks: they belong to the activation that scheduled them,
   /// so one re-routed off its silo is a dead letter, not a remote send.
   bool activation_scoped = false;
@@ -85,11 +94,11 @@ struct Envelope {
   const WireMethodInfo* wire = nullptr;
   /// Lazily encodes the argument tuple (WireEncodeTuple of the decayed
   /// argument pack).
-  std::function<std::string()> wire_encode_args;
+  WireEncodeFn wire_encode_args;
   /// Caller-side completion for wire calls: receives the sealed reply frame
   /// or a transport error, decodes Result<T>, and settles the promise.
   /// Empty for tells.
-  std::function<void(Result<std::string>&&)> on_wire_reply;
+  WireReplyHandler on_wire_reply;
 };
 
 namespace internal {

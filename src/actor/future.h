@@ -270,27 +270,55 @@ Future<std::vector<Result<T>>> WhenAll(const std::vector<Future<T>>& futures) {
   return promise.GetFuture();
 }
 
-// Fan-in rule: multi-actor operations gather with AllOk or AllValues; WhenAll
-// is the primitive under both. Each waits for EVERY input (2PC and
-// DeactivateAll rely on it: no decision while a participant is in flight),
-// reports the first failure in input order, and completes inline on the
-// thread that completes the last input.
+// Fan-in rule: multi-actor operations gather with AllOk or AllValues (AllOk
+// folds in place; AllValues is built on WhenAll). Each waits for EVERY
+// input (2PC and DeactivateAll rely on it: no decision while a participant
+// is in flight), reports the first failure in input order, and completes
+// inline on the thread that completes the last input.
+
+/// The failure status carried by a Result. For Result<Status> the payload
+/// itself is the outcome, so a transport error and a returned non-OK Status
+/// count alike; for any other type only the error channel can fail.
+inline Status FailureOf(const Result<Status>& r) {
+  return r.ok() ? r.value() : r.status();
+}
+template <typename T>
+Status FailureOf(const Result<T>& r) {
+  return r.ok() ? Status::OK() : r.status();
+}
 
 /// Resolves, as a value, to the first non-OK status in input order — a
 /// transport error and a returned non-OK Status count alike — else to OK.
+/// Folds each ack as it lands instead of gathering a result vector first.
 inline Future<Status> AllOk(const std::vector<Future<Status>>& acks) {
-  Promise<Status> done;
-  WhenAll(acks).OnReady([done](Result<std::vector<Result<Status>>>&& r) {
-    for (const Result<Status>& ack : r.value()) {
-      const Status& st = ack.ok() ? ack.value() : ack.status();
-      if (!st.ok()) {
-        done.SetValue(st);
-        return;
+  if (acks.empty()) return Future<Status>::FromValue(Status::OK());
+  struct Fold {
+    std::mutex mu;
+    size_t pending = 0;
+    /// Input position of `first` (acks.size() while every ack is OK).
+    size_t first_pos = 0;
+    Status first;
+    Promise<Status> done;
+  };
+  auto fold = std::make_shared<Fold>();
+  fold->pending = acks.size();
+  fold->first_pos = acks.size();
+  for (size_t i = 0; i < acks.size(); ++i) {
+    acks[i].OnReady([fold, i](Result<Status>&& r) {
+      Status st = FailureOf(r);
+      bool last = false;
+      {
+        std::lock_guard<std::mutex> lock(fold->mu);
+        if (!st.ok() && i < fold->first_pos) {
+          fold->first_pos = i;
+          fold->first = std::move(st);
+        }
+        last = --fold->pending == 0;
       }
-    }
-    done.SetValue(Status::OK());
-  });
-  return done.GetFuture();
+      if (last) fold->done.SetValue(std::move(fold->first));
+    });
+  }
+  return fold->done.GetFuture();
 }
 
 /// Resolves to the values in input order, or fails with the first error in

@@ -1,13 +1,14 @@
 #include "actor/method_registry.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace aodb {
 
 namespace internal {
 
-std::shared_mutex& SigTableMutex() {
-  static std::shared_mutex mu;
+std::mutex& SigTableMutex() {
+  static std::mutex mu;
   return mu;
 }
 
@@ -39,65 +40,83 @@ uint64_t MethodRegistry::MethodId(const std::string& method_name) {
 Status MethodRegistry::AddEntry(const std::string& type_name,
                                 std::unique_ptr<WireMethodEntry> entry,
                                 const WireMethodEntry** installed) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto& methods = types_[type_name];
-  auto it = methods.find(entry->info.id);
-  if (it != methods.end()) {
-    if (it->second->info.name != entry->info.name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (const Node* existing = FindNode(type_name, entry->info.id)) {
+    WireMethodEntry* prior = existing->entry.get();
+    if (prior->info.name != entry->info.name) {
       return Status::AlreadyExists(
           "wire method id collision in type " + type_name + ": \"" +
-          it->second->info.name + "\" vs \"" + entry->info.name + "\"");
+          prior->info.name + "\" vs \"" + entry->info.name + "\"");
     }
     // Idempotent re-registration; a later declaration of idempotency
     // upgrades the existing entry (registration happens at startup).
-    it->second->info.idempotent |= entry->info.idempotent;
-    *installed = it->second.get();
+    prior->info.idempotent |= entry->info.idempotent;
+    *installed = prior;
     return Status::OK();
   }
-  *installed = entry.get();
-  methods.emplace(entry->info.id, std::move(entry));
+  auto node = std::make_unique<Node>();
+  node->type = type_name;
+  node->entry = std::move(entry);
+  *installed = node->entry.get();
+  std::atomic<const Node*>& bucket =
+      buckets_[BucketOf(type_name, node->entry->info.id)];
+  node->next = bucket.load(std::memory_order_relaxed);
+  bucket.store(node.get(), std::memory_order_release);
+  nodes_.push_back(std::move(node));
   return Status::OK();
+}
+
+size_t MethodRegistry::BucketOf(std::string_view type, uint64_t method_id) {
+  uint64_t h = 14695981039346656037ULL;
+  for (char c : type) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ULL;
+  }
+  h ^= method_id;
+  return static_cast<size_t>((h >> 32) ^ h) % kBuckets;
+}
+
+const MethodRegistry::Node* MethodRegistry::FindNode(
+    std::string_view type, uint64_t method_id) const {
+  for (const Node* n =
+           buckets_[BucketOf(type, method_id)].load(std::memory_order_acquire);
+       n != nullptr; n = n->next) {
+    if (n->entry->info.id == method_id && n->type == type) return n;
+  }
+  return nullptr;
 }
 
 const WireMethodEntry* MethodRegistry::FindEntry(const std::string& type_name,
                                                  uint64_t method_id) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto find = [&](const std::string& type) -> const WireMethodEntry* {
-    auto tit = types_.find(type);
-    if (tit == types_.end()) return nullptr;
-    auto mit = tit->second.find(method_id);
-    return mit == tit->second.end() ? nullptr : mit->second.get();
-  };
-  if (const WireMethodEntry* entry = find(type_name)) return entry;
-  return find(kRuntimeMethodsType);
+  const Node* node = FindNode(type_name, method_id);
+  if (node == nullptr) node = FindNode(kRuntimeMethodsType, method_id);
+  return node == nullptr ? nullptr : node->entry.get();
 }
 
 size_t MethodRegistry::MethodCount(const std::string& type_name) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = types_.find(type_name);
-  return it == types_.end() ? 0 : it->second.size();
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<size_t>(
+      std::count_if(nodes_.begin(), nodes_.end(),
+                    [&](const auto& n) { return n->type == type_name; }));
 }
 
 Status MethodRegistry::SelfCheckAll() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  for (const auto& [type, methods] : types_) {
-    for (const auto& [id, entry] : methods) {
-      if (!entry->info.self_check) continue;
-      Status st = entry->info.self_check();
-      if (!st.ok()) {
-        return Status::Internal("wire self-check failed for " + type + "." +
-                                entry->info.name + ": " + st.ToString());
-      }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& node : nodes_) {
+    const WireMethodInfo& info = node->entry->info;
+    if (!info.self_check) continue;
+    Status st = info.self_check();
+    if (!st.ok()) {
+      return Status::Internal("wire self-check failed for " + node->type +
+                              "." + info.name + ": " + st.ToString());
     }
   }
   return Status::OK();
 }
 
 size_t MethodRegistry::TotalMethods() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  size_t n = 0;
-  for (const auto& [type, methods] : types_) n += methods.size();
-  return n;
+  std::lock_guard<std::mutex> lock(mu_);
+  return nodes_.size();
 }
 
 }  // namespace aodb

@@ -13,17 +13,20 @@
 #ifndef AODB_ACTOR_METHOD_REGISTRY_H_
 #define AODB_ACTOR_METHOD_REGISTRY_H_
 
+#include <array>
+#include <atomic>
 #include <functional>
 #include <memory>
-#include <shared_mutex>
+#include <mutex>
 #include <string>
+#include <string_view>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "actor/actor.h"
 #include "actor/future.h"
+#include "common/small_function.h"
 #include "common/wire.h"
 
 namespace aodb {
@@ -50,8 +53,10 @@ struct WireMethodInfo {
 };
 
 /// Receive-side reply hook: takes the encoded Result<T> payload (unsealed).
-/// Empty for fire-and-forget tells.
-using WireReplyFn = std::function<void(std::string)>;
+/// Empty for fire-and-forget tells. Inline-sized for the dispatch's reply
+/// route (shared call object + replying silo), so a request allocates no
+/// hook.
+using WireReplyFn = SmallFunction<void(std::string), 24>;
 
 /// Decodes arguments from the reader, invokes the method on the activation,
 /// and (if a reply hook is present) encodes the result.
@@ -80,23 +85,27 @@ struct CallResult<Future<U>> {
   using type = U;
 };
 
-/// Guards all per-signature send-side tables (defined in the .cc).
-std::shared_mutex& SigTableMutex();
+/// Serializes registrations into the per-signature send-side tables
+/// (defined in the .cc). Lookups never take it.
+std::mutex& SigTableMutex();
 
-/// Send-side lookup table for one member-function-pointer signature:
-/// member pointers cannot be hashed, so each signature gets its own small
-/// linear table (a handful of methods per signature in practice).
+/// Send-side lookup table for one member-function-pointer signature,
+/// keyed on the member pointer itself: member pointers cannot be hashed, so
+/// each signature gets its own short list (a handful of methods per
+/// signature in practice). The list is prepend-only and its rows are
+/// immutable and never freed, so Find walks it with acquire loads and no
+/// lock, and still sees a row registered after an earlier lookup — also one
+/// for another method of the same signature.
 template <typename R, typename C, typename... MArgs>
 struct SigTable {
   using MPtr = R (C::*)(MArgs...);
   struct Row {
     MPtr ptr;
     const WireMethodInfo* info;
+    const Row* next;
   };
-  static std::vector<Row>& Rows() {
-    static std::vector<Row> rows;
-    return rows;
-  }
+  /// Newest row first.
+  static inline std::atomic<const Row*> head{nullptr};
 };
 
 /// Codec self-check for one method signature: encode a default argument
@@ -229,29 +238,33 @@ class MethodRegistry {
     entry->invoke = internal::MakeWireInvoker<R, C, MArgs...>(method);
     const WireMethodEntry* installed = nullptr;
     AODB_RETURN_NOT_OK(AddEntry(type_name, std::move(entry), &installed));
-    std::unique_lock<std::shared_mutex> lock(internal::SigTableMutex());
-    auto& rows = internal::SigTable<R, C, MArgs...>::Rows();
-    for (const auto& row : rows) {
-      if (row.ptr == method) return Status::OK();
+    using Table = internal::SigTable<R, C, MArgs...>;
+    std::lock_guard<std::mutex> lock(internal::SigTableMutex());
+    const typename Table::Row* head =
+        Table::head.load(std::memory_order_relaxed);
+    for (auto* row = head; row != nullptr; row = row->next) {
+      if (row->ptr == method) return Status::OK();
     }
-    rows.push_back({method, &installed->info});
+    Table::head.store(new typename Table::Row{method, &installed->info, head},
+                      std::memory_order_release);
     return Status::OK();
   }
 
   /// Send-side lookup: the registration for a member-function pointer, or
   /// nullptr if the method was never registered (the message can then only
-  /// be delivered on the caller's own silo).
+  /// be delivered on the caller's own silo). Takes no lock (see SigTable).
   template <typename R, typename C, typename... MArgs>
   const WireMethodInfo* Find(R (C::*method)(MArgs...)) const {
-    std::shared_lock<std::shared_mutex> lock(internal::SigTableMutex());
-    for (const auto& row : internal::SigTable<R, C, MArgs...>::Rows()) {
-      if (row.ptr == method) return row.info;
+    for (auto* row = internal::SigTable<R, C, MArgs...>::head.load(
+             std::memory_order_acquire);
+         row != nullptr; row = row->next) {
+      if (row->ptr == method) return row->info;
     }
     return nullptr;
   }
 
   /// Receive-side lookup (the type's own methods, then the runtime-owned
-  /// ones), or nullptr.
+  /// ones), or nullptr. Takes no lock (see Node).
   const WireMethodEntry* FindEntry(const std::string& type_name,
                                    uint64_t method_id) const;
 
@@ -272,11 +285,24 @@ class MethodRegistry {
                   std::unique_ptr<WireMethodEntry> entry,
                   const WireMethodEntry** installed);
 
-  mutable std::shared_mutex mu_;
-  std::unordered_map<std::string,
-                     std::unordered_map<uint64_t,
-                                        std::unique_ptr<WireMethodEntry>>>
-      types_;
+  /// One registered method. Nodes form fixed buckets of prepend-only lists
+  /// keyed by (type, method id); a published node is never unlinked or
+  /// freed while the registry lives, so FindEntry walks the lists with
+  /// acquire loads and no lock.
+  struct Node {
+    std::string type;
+    std::unique_ptr<WireMethodEntry> entry;
+    const Node* next = nullptr;
+  };
+  static constexpr size_t kBuckets = 256;
+  static size_t BucketOf(std::string_view type, uint64_t method_id);
+  const Node* FindNode(std::string_view type, uint64_t method_id) const;
+
+  /// Serializes registrations and guards nodes_.
+  mutable std::mutex mu_;
+  std::array<std::atomic<const Node*>, kBuckets> buckets_{};
+  /// Owns every node, in registration order.
+  std::vector<std::unique_ptr<Node>> nodes_;
 };
 
 /// Decodes a sealed wire reply frame into the caller's typed result.

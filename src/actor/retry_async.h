@@ -20,16 +20,6 @@ namespace aodb {
 
 namespace internal {
 
-/// The failure status carried by a Result. For Result<Status> the payload
-/// itself is the outcome; for other types only the error channel can fail.
-inline Status FailureOf(const Result<Status>& r) {
-  return r.ok() ? r.value() : r.status();
-}
-template <typename T>
-Status FailureOf(const Result<T>& r) {
-  return r.ok() ? Status::OK() : r.status();
-}
-
 template <typename T>
 struct RetryLoop {
   Executor* exec;

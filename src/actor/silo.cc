@@ -81,13 +81,8 @@ void Silo::Deliver(Envelope env) {
       return;
     }
   }
-  ActivationPtr act;
+  ActivationPtr act = FindActivation(env.target);
   bool is_new = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = catalog_.find(env.target);
-    if (it != catalog_.end()) act = it->second;
-  }
   if (!act) {
     // No activation here: only create one if the directory still says this
     // silo owns the actor. Mail can arrive after a migration or idle
@@ -116,9 +111,16 @@ void Silo::Deliver(Envelope env) {
     bool evict_needed = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      auto [it, inserted] = catalog_.emplace(env.target, fresh);
-      act = it->second;
+      CatalogStripe& stripe = StripeFor(env.target);
+      bool inserted = false;
+      {
+        std::lock_guard<std::mutex> stripe_lock(stripe.mu);
+        auto it = stripe.map.emplace(env.target, fresh);
+        act = it.first->second;
+        inserted = it.second;
+      }
       if (inserted) {
+        ++resident_;
         ++stats_.activations_created;
         is_new = true;
         LruPushBackLocked(act);
@@ -222,7 +224,7 @@ void Silo::BeginActivate(const ActivationPtr& act) {
           cluster_->directory().Remove(act->id, id_);
           {
             std::lock_guard<std::mutex> lock(mu_);
-            catalog_.erase(act->id);
+            CatalogEraseLocked(act);
             LruUnlinkLocked(act);
             if (act->resident_limit > 0) {
               --type_residency_[act->id.type].resident;
@@ -252,7 +254,7 @@ void Silo::BeginActivate(const ActivationPtr& act) {
         ScopedFlightScope fscope(&cluster_->flight_recorder(), id_);
         act->actor->OnActivate().OnReady(
             [this, act, fail_all](Result<Status>&& r) {
-              Status st = r.ok() ? r.value() : r.status();
+              Status st = FailureOf(r);
               if (!st.ok()) {
                 AODB_LOG(Warn, "activation of %s failed: %s",
                          act->id.ToString().c_str(), st.ToString().c_str());
@@ -422,7 +424,13 @@ void Silo::ProcessEnvelope(const ActivationPtr& act, Envelope& env) {
     internal::CurrentTurnDeadline() = saved_deadline;
     Micros turn_end = executor_->clock()->Now();
     Micros exec_us = turn_end - turn_start;
-    cluster_->RecordTurnProfile(env.target.type, queue_wait, exec_us);
+    if (act->turn_exec == nullptr) {
+      Cluster::TurnProfile prof = cluster_->TurnProfileFor(env.target.type);
+      act->turn_queue_wait = prof.queue_wait;
+      act->turn_exec = prof.exec;
+    }
+    act->turn_queue_wait->Record(queue_wait);
+    act->turn_exec->Record(exec_us);
     if (turn_ctx.sampled) {
       SpanRecord rec;
       rec.trace_id = turn_ctx.trace_id;
@@ -526,9 +534,7 @@ void Silo::LruUnlinkLocked(const ActivationPtr& act) {
 }
 
 bool Silo::OverResidencyLocked(const ActivationPtr& act) const {
-  if (max_resident_ > 0 &&
-      static_cast<int64_t>(catalog_.size()) - pending_page_outs_ >
-          max_resident_) {
+  if (max_resident_ > 0 && resident_ - pending_page_outs_ > max_resident_) {
     return true;
   }
   if (act->resident_limit > 0) {
@@ -574,8 +580,7 @@ void Silo::RunEvictionPass() {
     ActivationPtr victim;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      int64_t resident =
-          static_cast<int64_t>(catalog_.size()) - pending_page_outs_;
+      int64_t resident = resident_ - pending_page_outs_;
       if (max_resident_ > 0 && resident > max_resident_) draining = true;
       if (draining && resident <= low_water) draining = false;
       if (draining) {
@@ -628,12 +633,7 @@ void Silo::RunEvictionPass() {
 }
 
 Future<Status> Silo::DeactivateAll() {
-  std::vector<ActivationPtr> victims;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    victims.reserve(catalog_.size());
-    for (auto& [id, act] : catalog_) victims.push_back(act);
-  }
+  std::vector<ActivationPtr> victims = SnapshotCatalog();
   std::vector<ActivationPtr> initiated;
   for (auto& act : victims) {
     std::lock_guard<std::mutex> lock(act->mu);
@@ -671,9 +671,13 @@ int64_t Silo::Kill() {
   std::deque<Envelope> backlog;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    victims.reserve(catalog_.size());
-    for (auto& [id, act] : catalog_) victims.push_back(act);
-    catalog_.clear();
+    victims.reserve(static_cast<size_t>(resident_));
+    for (CatalogStripe& stripe : catalog_) {
+      std::lock_guard<std::mutex> stripe_lock(stripe.mu);
+      for (auto& [id, act] : stripe.map) victims.push_back(act);
+      stripe.map.clear();
+    }
+    resident_ = 0;
     for (auto& act : lru_) act->in_lru = false;
     lru_.clear();
     type_residency_.clear();
@@ -738,7 +742,7 @@ void Silo::FinishDeactivation(const ActivationPtr& act,
         ScopedFlightScope fscope(&cluster_->flight_recorder(), id_);
         act->actor->OnDeactivate().OnReady(
             [this, act, done](Result<Status>&& r) {
-              Status st = r.ok() ? r.value() : r.status();
+              Status st = FailureOf(r);
               std::deque<Envelope> pending;
               SiloId migrate_to = kNoSilo;
               bool page_out = false;
@@ -768,7 +772,7 @@ void Silo::FinishDeactivation(const ActivationPtr& act,
               if (!moved && !paged) cluster_->directory().Remove(act->id, id_);
               {
                 std::lock_guard<std::mutex> lock(mu_);
-                catalog_.erase(act->id);
+                CatalogEraseLocked(act);
                 LruUnlinkLocked(act);
                 if (act->resident_limit > 0) {
                   --type_residency_[act->id.type].resident;
@@ -821,12 +825,7 @@ int64_t Silo::MailboxDepth(const ActivationPtr& act) {
 std::vector<Silo::HotActivation> Silo::TopActivations(size_t n) const {
   std::vector<HotActivation> out;
   if (!alive() || n == 0) return out;
-  std::vector<ActivationPtr> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    snapshot.reserve(catalog_.size());
-    for (const auto& [id, act] : catalog_) snapshot.push_back(act);
-  }
+  std::vector<ActivationPtr> snapshot = SnapshotCatalog();
   out.reserve(snapshot.size());
   for (const auto& act : snapshot) {
     std::lock_guard<std::mutex> lock(act->mu);
@@ -844,12 +843,7 @@ std::vector<Silo::HotActivation> Silo::TopActivations(size_t n) const {
 
 std::optional<Silo::HotActivation> Silo::HottestActivation(
     int min_depth) const {
-  std::vector<ActivationPtr> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    snapshot.reserve(catalog_.size());
-    for (const auto& [id, act] : catalog_) snapshot.push_back(act);
-  }
+  std::vector<ActivationPtr> snapshot = SnapshotCatalog();
   std::optional<HotActivation> best;
   for (const auto& act : snapshot) {
     std::lock_guard<std::mutex> lock(act->mu);
@@ -867,13 +861,8 @@ std::optional<Silo::HotActivation> Silo::HottestActivation(
 
 bool Silo::RequestMigration(const ActorId& id, SiloId to) {
   if (to == id_ || !alive()) return false;
-  ActivationPtr act;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = catalog_.find(id);
-    if (it == catalog_.end()) return false;
-    act = it->second;
-  }
+  ActivationPtr act = FindActivation(id);
+  if (!act) return false;
   bool immediate = false;
   {
     std::lock_guard<std::mutex> lock(act->mu);
@@ -914,12 +903,7 @@ void Silo::Reroute(Envelope env) {
 std::vector<ActorId> Silo::LiveActivations() const {
   std::vector<ActorId> out;
   if (!alive()) return out;
-  std::vector<ActivationPtr> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    snapshot.reserve(catalog_.size());
-    for (const auto& [id, act] : catalog_) snapshot.push_back(act);
-  }
+  std::vector<ActivationPtr> snapshot = SnapshotCatalog();
   out.reserve(snapshot.size());
   for (const auto& act : snapshot) {
     std::lock_guard<std::mutex> lock(act->mu);
@@ -934,7 +918,41 @@ std::vector<ActorId> Silo::LiveActivations() const {
 
 size_t Silo::ActivationCount() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return catalog_.size();
+  return static_cast<size_t>(resident_);
+}
+
+Silo::CatalogStripe& Silo::StripeFor(const ActorId& id) const {
+  // Fold the high half in, as the directory does: the low bits alone also
+  // pick the hash-placed home silo.
+  uint64_t h = ActorIdHash()(id);
+  return catalog_[((h >> 32) ^ h) % kCatalogStripes];
+}
+
+Silo::ActivationPtr Silo::FindActivation(const ActorId& id) const {
+  CatalogStripe& stripe = StripeFor(id);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  auto it = stripe.map.find(id);
+  return it == stripe.map.end() ? nullptr : it->second;
+}
+
+std::vector<Silo::ActivationPtr> Silo::SnapshotCatalog() const {
+  std::vector<ActivationPtr> out;
+  for (const CatalogStripe& stripe : catalog_) {
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    for (const auto& [id, act] : stripe.map) out.push_back(act);
+  }
+  return out;
+}
+
+void Silo::CatalogEraseLocked(const ActivationPtr& act) {
+  CatalogStripe& stripe = StripeFor(act->id);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  auto it = stripe.map.find(act->id);
+  // A closed activation whose deactivation finishes after Kill() must not
+  // evict the fresh activation that replaced it.
+  if (it == stripe.map.end() || it->second != act) return;
+  stripe.map.erase(it);
+  --resident_;
 }
 
 SiloStats Silo::Stats() const {

@@ -6,6 +6,7 @@
 #ifndef AODB_ACTOR_SILO_H_
 #define AODB_ACTOR_SILO_H_
 
+#include <array>
 #include <atomic>
 #include <deque>
 #include <list>
@@ -23,6 +24,7 @@
 namespace aodb {
 
 class Cluster;
+class ConcurrentHistogram;
 class Gauge;
 
 /// Counters exposed for tests and benchmark reporting.
@@ -155,6 +157,10 @@ class Silo {
     /// beyond the activation's own mu.
     int mailbox_limit = 0;
     Gauge* depth_gauge = nullptr;
+    /// The type's turn-profile histograms, resolved on the first turn and
+    /// only touched on the serialized turn path (like fault_in).
+    ConcurrentHistogram* turn_queue_wait = nullptr;
+    ConcurrentHistogram* turn_exec = nullptr;
     /// Migration target (kNoSilo = none), guarded by mu. Set by
     /// RequestMigration; a running/scheduled activation transitions to
     /// kDeactivating at the end of its current turn — directly from
@@ -208,6 +214,18 @@ class Silo {
   void FinishDeactivation(const ActivationPtr& act,
                           std::function<void(Status)> done);
   void Reroute(Envelope env);
+  /// --- Catalog. Lookups take only the owning stripe's lock; inserts and
+  /// erases additionally hold mu_ (taken first), which keeps the LRU,
+  /// residency counts and catalog membership changing together. ---
+  struct CatalogStripe;
+  CatalogStripe& StripeFor(const ActorId& id) const;
+  /// The activation hosted here for `id`, or null.
+  ActivationPtr FindActivation(const ActorId& id) const;
+  /// Every catalog entry, stripe by stripe (each stripe locked in turn).
+  std::vector<ActivationPtr> SnapshotCatalog() const;
+  /// Removes `act` from its stripe if it is still the entry for its id.
+  /// Requires mu_.
+  void CatalogEraseLocked(const ActivationPtr& act);
   /// --- Working-set (LRU) maintenance. All *Locked helpers require mu_. ---
   /// Appends a new activation at the most-recent end.
   void LruPushBackLocked(const ActivationPtr& act);
@@ -260,17 +278,28 @@ class Silo {
   /// reads it without any lock.
   std::atomic<int64_t> queued_{0};
 
+  /// The activation catalog, split into lock stripes by ActorIdHash so a
+  /// message finds its activation without any silo-wide lock.
+  static constexpr size_t kCatalogStripes = 16;
+  struct alignas(64) CatalogStripe {
+    mutable std::mutex mu;
+    std::unordered_map<ActorId, ActivationPtr, ActorIdHash> map;
+  };
+  mutable std::array<CatalogStripe, kCatalogStripes> catalog_;
+
   mutable std::mutex mu_;
   /// Envelopes swallowed while wedged; failed en masse by Kill().
   std::deque<Envelope> wedge_backlog_;
-  std::unordered_map<ActorId, ActivationPtr, ActorIdHash> catalog_;
-  /// Recency list over catalog_ entries: least-recently-active at the front.
+  /// Number of catalog entries. Guarded by mu_, which every insert and
+  /// erase holds.
+  int64_t resident_ = 0;
+  /// Recency list over catalog entries: least-recently-active at the front.
   /// Maintained from turn completions (splice-to-back), so both the idle
   /// sweep and paging eviction pop victims from the front in O(1) instead of
   /// scanning the catalog. Guarded by mu_.
   std::list<ActivationPtr> lru_;
   /// Activations claimed for page-out whose FinishDeactivation has not yet
-  /// erased them from catalog_. Subtracted from the resident count so one
+  /// erased them from the catalog. Subtracted from the resident count so one
   /// eviction pass doesn't over-evict while deactivations are in flight.
   int64_t pending_page_outs_ = 0;
   /// Per-type residency accounting, only for types with a per-type cap

@@ -80,8 +80,10 @@ void ThreadPoolExecutor::PostAt(Micros due, std::function<void()> fn) {
     if (shutdown_.load(std::memory_order_acquire)) return;
     // Only wake the timer thread when this entry becomes the new earliest
     // deadline; otherwise the thread's current wait already covers it.
-    wake = timer_queue_.empty() || due < timer_queue_.top().due;
-    timer_queue_.push(Timed{due, timer_seq_++, std::move(fn)});
+    wake = timer_queue_.empty() || due < timer_queue_.front().due;
+    timer_queue_.push_back(Timed{due, timer_seq_++, std::move(fn)});
+    std::push_heap(timer_queue_.begin(), timer_queue_.end(),
+                   std::greater<Timed>());
   }
   if (wake) timer_cv_.notify_one();
 }
@@ -294,10 +296,12 @@ void ThreadPoolExecutor::TimerLoop() {
       continue;
     }
     Micros now = clock()->Now();
-    const Timed& next = timer_queue_.top();
+    const Timed& next = timer_queue_.front();
     if (next.due <= now) {
-      std::function<void()> fn = next.fn;
-      timer_queue_.pop();
+      std::pop_heap(timer_queue_.begin(), timer_queue_.end(),
+                    std::greater<Timed>());
+      std::function<void()> fn = std::move(timer_queue_.back().fn);
+      timer_queue_.pop_back();
       lock.unlock();
       // Delayed callbacks (network delivery, storage completions, timers)
       // run on the timer thread itself; they are expected to be cheap

@@ -20,7 +20,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -111,8 +110,9 @@ class ThreadPoolExecutor final : public Executor {
 
   std::mutex timer_mu_;
   std::condition_variable timer_cv_;
-  std::priority_queue<Timed, std::vector<Timed>, std::greater<Timed>>
-      timer_queue_;
+  /// Min-heap on (due, seq) under std::greater, kept as a plain vector so
+  /// the due entry's callback can be moved out before it is popped.
+  std::vector<Timed> timer_queue_;
   uint64_t timer_seq_ = 0;
 
   std::vector<std::thread> threads_;

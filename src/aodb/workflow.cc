@@ -80,7 +80,7 @@ void WorkflowEngine::RunStep(std::shared_ptr<RunState> state) {
       },
       IsTransient, [this](const Status&) { retries_->Add(); })
       .OnReady([this, state](Result<Status>&& r) {
-        Status st = r.ok() ? r.value() : r.status();
+        Status st = FailureOf(r);
         if (st.ok()) {
           steps_executed_->Add();
           ++state->next;
@@ -114,7 +114,7 @@ void WorkflowEngine::Compensate(const std::shared_ptr<RunState>& state,
         },
         IsTransient, [this](const Status&) { retries_->Add(); })
         .OnReady([this, comp](Result<Status>&& r) {
-          Status st = r.ok() ? r.value() : r.status();
+          Status st = FailureOf(r);
           if (!st.ok()) {
             compensation_failures_->Add();
             AODB_LOG(Error, "compensation %s on %s/%s failed permanently: %s",

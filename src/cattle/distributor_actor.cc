@@ -77,7 +77,7 @@ Future<std::string> DistributorActor::PlanDelivery(
       .Call(&DeliveryActor::Plan, ctx().self().key, std::move(cut_keys),
             std::move(source), std::move(destination), std::move(vehicle))
       .OnReady([done, key](Result<Status>&& r) {
-        Status st = r.ok() ? r.value() : r.status();
+        Status st = FailureOf(r);
         if (st.ok()) {
           done.SetValue(key);
         } else {

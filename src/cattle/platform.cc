@@ -160,7 +160,7 @@ Future<Status> CattlePlatform::RegisterCow(const std::string& cow_key,
                        NextSeed(), std::move(op), IsTransient,
                        [retried](const Status&) { retried->store(true); })
         .OnReady([retried, settled](Result<Status>&& r) {
-          Status st = r.ok() ? r.value() : r.status();
+          Status st = FailureOf(r);
           if (st.code() == StatusCode::kAlreadyExists && retried->load()) {
             st = Status::OK();
           }
@@ -213,7 +213,7 @@ Future<std::vector<std::string>> CattlePlatform::SlaughterAndCut(
   sh.Call(&SlaughterhouseActor::Slaughter, cow_key)
       .OnReady([sh, cow_key, farmer_key, num_cuts,
                 done](Result<Status>&& r) {
-        Status st = r.ok() ? r.value() : r.status();
+        Status st = FailureOf(r);
         if (!st.ok()) {
           done.SetError(st);
           return;
@@ -252,7 +252,7 @@ Future<Status> CattlePlatform::ShipCuts(const std::string& distributor_key,
         delivery.Call(&DeliveryActor::Depart)
             .OnReady([cluster, delivery, retailer_key, cut_keys,
                       done](Result<Status>&& dep) {
-              Status st = dep.ok() ? dep.value() : dep.status();
+              Status st = FailureOf(dep);
               if (!st.ok()) {
                 done.SetValue(st);
                 return;
@@ -262,7 +262,7 @@ Future<Status> CattlePlatform::ShipCuts(const std::string& distributor_key,
                         retailer_key)
                   .OnReady([cluster, retailer_key, cut_keys,
                             done](Result<Status>&& arr) {
-                    Status st = arr.ok() ? arr.value() : arr.status();
+                    Status st = FailureOf(arr);
                     if (!st.ok()) {
                       done.SetValue(st);
                       return;

@@ -85,7 +85,7 @@ Future<std::string> RetailerActor::CreateProduct(
   ctx().Ref<MeatProductActor>(key)
       .Call(&MeatProductActor::Create, ctx().self().key, std::move(cut_keys))
       .OnReady([done, key](Result<Status>&& r) {
-        Status st = r.ok() ? r.value() : r.status();
+        Status st = FailureOf(r);
         if (st.ok()) {
           done.SetValue(key);
         } else {
@@ -123,7 +123,7 @@ Future<std::string> RetailerActor::CreateProductLocal(
       .Call(&MeatProductActor::CreateWithRecords, ctx().self().key,
             std::move(records))
       .OnReady([done, key](Result<Status>&& r) {
-        Status st = r.ok() ? r.value() : r.status();
+        Status st = FailureOf(r);
         if (st.ok()) {
           done.SetValue(key);
         } else {

@@ -13,7 +13,7 @@ Future<Status> SlaughterhouseActor::Slaughter(std::string cow_key) {
   cow.Call(&CowActor::ExecuteOp, std::string(CowActor::kOpSlaughter),
            std::string())
       .OnReady([done, processed, cow_key](Result<Status>&& r) {
-        Status st = r.ok() ? r.value() : r.status();
+        Status st = FailureOf(r);
         // Note: `processed` stays valid — the activation outlives its
         // pending calls, and the continuation runs as part of message
         // processing on this silo.

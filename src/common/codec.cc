@@ -1,5 +1,7 @@
 #include "common/codec.h"
 
+#include <array>
+
 namespace aodb {
 
 void BufWriter::PutFixed32(uint32_t v) {
@@ -106,28 +108,53 @@ Status BufReader::GetString(std::string* out) {
 
 namespace {
 
-struct Crc32cTable {
-  uint32_t t[256];
-  Crc32cTable() {
-    constexpr uint32_t kPoly = 0x82f63b78u;  // Castagnoli, reflected.
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int j = 0; j < 8; ++j) {
-        crc = (crc & 1) ? (crc >> 1) ^ kPoly : crc >> 1;
-      }
-      t[i] = crc;
+// Slicing-by-8 tables: kCrcTables[0] is the classic bytewise table, and
+// kCrcTables[k][i] is the CRC of byte i followed by k zero bytes, so one
+// step folds eight input bytes with eight independent lookups.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  constexpr uint32_t kPoly = 0x82f63b78u;  // Castagnoli, reflected.
+  CrcTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int j = 0; j < 8; ++j) {
+      crc = (crc & 1) ? (crc >> 1) ^ kPoly : crc >> 1;
+    }
+    t[0][i] = crc;
+  }
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < 8; ++k) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
     }
   }
-};
+  return t;
+}
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+/// Little-endian 32-bit load at any alignment (one plain load on x86).
+inline uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 |
+         static_cast<uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 uint32_t Crc32c(const void* data, size_t len) {
-  static const Crc32cTable table;
+  const auto& t = kCrcTables;
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t crc = 0xffffffffu;
-  for (size_t i = 0; i < len; ++i) {
-    crc = table.t[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    uint32_t lo = crc ^ LoadLe32(p);
+    uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
+          t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^ t[3][hi & 0xff] ^
+          t[2][(hi >> 8) & 0xff] ^ t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) {
+    crc = t[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
 }

@@ -89,8 +89,9 @@ class BufReader {
   size_t pos_;
 };
 
-/// CRC32C (Castagnoli, software table implementation) used to checksum
-/// storage log records.
+/// CRC32C (Castagnoli; portable slicing-by-8, bit-identical to the
+/// bytewise table form) used to checksum storage log records and seal wire
+/// frames.
 uint32_t Crc32c(const void* data, size_t len);
 uint32_t Crc32c(const std::string& s);
 

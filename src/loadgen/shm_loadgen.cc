@@ -100,7 +100,7 @@ void ShmLoadGen::FireInsert(int sensor, Micros now) {
   }
   platform_->Insert(topology_, sensor, std::move(packet))
       .OnReady([this, sensor, now](Result<Status>&& r) {
-        Status st = r.ok() ? r.value() : r.status();
+        Status st = FailureOf(r);
         RecordInsertDone(sensor, now, st.ok());
       });
 }

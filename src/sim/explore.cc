@@ -57,7 +57,7 @@ class DstSeqActor : public PersistentActor<SeqState> {
     int64_t value = state().last_seq;
     Promise<int64_t> done;
     WriteStateAsync().OnReady([done, value](Result<Status>&& r) {
-      Status st = r.ok() ? r.value() : r.status();
+      Status st = FailureOf(r);
       if (st.ok()) {
         done.SetValue(value);
       } else {

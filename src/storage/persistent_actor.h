@@ -279,7 +279,7 @@ class PersistentActor : public ActorBase {
         IsTransient, [core](const Status&) { core->BumpRetries(); })
         .OnReady([core, ss, exec, policy, key, marks,
                   done](Result<Status>&& r) {
-          Status st = r.ok() ? r.value() : r.status();
+          Status st = FailureOf(r);
           std::optional<QueuedWrite> next;
           std::vector<Promise<Status>> drained;
           {

@@ -217,5 +217,120 @@ TEST(RealModeStressTest, CrossSiloCallChainsUnderLoad) {
   EXPECT_EQ(total, 300);
 }
 
+/// Per-key lifecycle ledger of the churn test: messages applied, and the
+/// activations currently live (two at once would be a split brain).
+struct ChurnLedger {
+  static constexpr int kActors = 300;
+  std::atomic<int64_t> applied[kActors] = {};
+  std::atomic<int> live[kActors] = {};
+  std::atomic<int> double_activations{0};
+};
+
+ChurnLedger& Churn() {
+  static ChurnLedger ledger;
+  return ledger;
+}
+
+class ChurnActor : public ActorBase {
+ public:
+  static constexpr char kTypeName[] = "stress.Churn";
+  Future<Status> OnActivate() override {
+    if (Churn().live[Index()].fetch_add(1) != 0) {
+      Churn().double_activations.fetch_add(1);
+    }
+    return Future<Status>::FromValue(Status::OK());
+  }
+  Future<Status> OnDeactivate() override {
+    Churn().live[Index()].fetch_sub(1);
+    return Future<Status>::FromValue(Status::OK());
+  }
+  int64_t Apply() {
+    Churn().applied[Index()].fetch_add(1);
+    return 1;
+  }
+  /// One client call fans out to a second actor, so silo workers deliver
+  /// next to the wire-frame thread.
+  Future<int64_t> Bounce(std::string next) {
+    return ctx().Ref<ChurnActor>(next).Call(&ChurnActor::Apply);
+  }
+
+ private:
+  int Index() const { return std::stoi(ctx().self().key); }
+};
+
+[[maybe_unused]] const bool kChurnWireRegistered = [] {
+  RegisterWireOrDie(ChurnActor::kTypeName, &ChurnActor::Apply,
+                    "ChurnActor.Apply");
+  RegisterWireOrDie(ChurnActor::kTypeName, &ChurnActor::Bounce,
+                    "ChurnActor.Bounce");
+  return true;
+}();
+
+TEST(RealModeStressTest, DeliveryRacesActivationSweepAndPageOut) {
+  // Many actors over a small resident cap with an aggressive idle sweep:
+  // every few messages an activation is created, swept or paged out while
+  // other threads deliver to it. No call may be lost and no actor may ever
+  // have two live activations.
+  RuntimeOptions o = StressOptions();
+  o.max_resident_activations = 40;
+  o.lifecycle.enable_idle_deactivation = true;
+  o.lifecycle.idle_timeout_us = 200;
+  o.lifecycle.scan_interval_us = 200;
+  RealClusterHandle handle(o);
+  handle->RegisterActorType<ChurnActor>();
+  handle->StartIdleScanner();
+  constexpr int kThreads = 4;
+  constexpr int kCallsPerThread = 1000;
+  constexpr int kInFlight = 32;
+  std::atomic<int64_t> acked{0};
+  std::atomic<int64_t> failed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&handle, &acked, &failed, t] {
+      Rng rng(t + 7);
+      std::vector<Future<int64_t>> batch;
+      auto drain = [&] {
+        for (auto& f : batch) {
+          Result<int64_t> r = f.GetFor(20 * kMicrosPerSecond);
+          (r.ok() ? acked : failed).fetch_add(1);
+        }
+        batch.clear();
+        // A short pause lets the sweeper find idle activations.
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+      };
+      for (int i = 0; i < kCallsPerThread; ++i) {
+        auto key = [&] {
+          return std::to_string(rng.NextBelow(ChurnLedger::kActors));
+        };
+        batch.push_back(
+            handle->Ref<ChurnActor>(key()).Call(&ChurnActor::Bounce, key()));
+        if (batch.size() == kInFlight) drain();
+      }
+      drain();
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(acked.load(), kThreads * kCallsPerThread);
+  int64_t applied = 0;
+  for (auto& a : Churn().applied) applied += a.load();
+  EXPECT_EQ(applied, acked.load()) << "an acked call ran zero or two times";
+  EXPECT_EQ(Churn().double_activations.load(), 0)
+      << "an actor had two live activations at once";
+  for (auto& l : Churn().live) EXPECT_LE(l.load(), 1);
+  SiloStats stats;
+  for (int s = 0; s < handle->num_silos(); ++s) {
+    SiloStats one = handle->silo(s)->Stats();
+    stats.activations_created += one.activations_created;
+    stats.activations_removed += one.activations_removed;
+    stats.activations_paged_out += one.activations_paged_out;
+  }
+  // The churn really happened: actors were paged out, swept idle, and
+  // re-activated.
+  EXPECT_GT(stats.activations_paged_out, 0);
+  EXPECT_GT(stats.activations_removed, stats.activations_paged_out);
+  EXPECT_GT(stats.activations_created, ChurnLedger::kActors);
+}
+
 }  // namespace
 }  // namespace aodb

@@ -3,6 +3,7 @@
 // series, deterministic RNG, network model, and geo-fencing.
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -126,6 +127,46 @@ TEST(Crc32cTest, KnownVector) {
   // "123456789" -> 0xe3069283.
   EXPECT_EQ(Crc32c(std::string("123456789")), 0xe3069283U);
   EXPECT_NE(Crc32c(std::string("a")), Crc32c(std::string("b")));
+}
+
+namespace {
+
+// The bytewise table form the slicing-by-8 implementation must match bit
+// for bit (wire seals and log records on disk depend on it).
+uint32_t ReferenceCrc32c(const uint8_t* p, size_t len) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int j = 0; j < 8; ++j) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0x82f63b78u : crc >> 1;
+    }
+    table[i] = crc;
+  }
+  uint32_t crc = 0xffffffffu;
+  for (size_t i = 0; i < len; ++i) {
+    crc = table[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
+  }
+  return crc ^ 0xffffffffu;
+}
+
+}  // namespace
+
+TEST(Crc32cTest, MatchesBytewiseReferenceAtUnalignedOffsets) {
+  std::vector<uint8_t> buf(1024 + 8);
+  uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (auto& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<uint8_t>(x);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      ASSERT_EQ(Crc32c(buf.data() + offset, len),
+                ReferenceCrc32c(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
 }
 
 // --- Histogram ------------------------------------------------------------------

@@ -5,7 +5,10 @@
 // unregistered methods, registry completeness checking, and the promise
 // double-completion guard.
 
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -86,6 +89,42 @@ TEST(MethodRegistryTest, RepeatedRegistrationIsIdempotent) {
                   .ok());
   EXPECT_EQ(reg.MethodCount("wiretest.Idem"), count);
   EXPECT_NE(reg.Find(&UnregisteredActor::Echo), nullptr);
+}
+
+// Two methods of one signature share one send-side table, so a lookup must
+// still find a method registered after an earlier lookup of its sibling.
+class LateRegisteredActor : public ActorBase {
+ public:
+  int64_t First(int64_t v) { return v; }
+  int64_t Second(int64_t v) { return -v; }
+};
+
+TEST(MethodRegistryTest, FindSeesSameSignatureMethodRegisteredLater) {
+  MethodRegistry& reg = MethodRegistry::Global();
+  ASSERT_TRUE(
+      reg.Register("wiretest.Late", &LateRegisteredActor::First, "Late.First")
+          .ok());
+  const WireMethodInfo* first = reg.Find(&LateRegisteredActor::First);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(reg.Find(&LateRegisteredActor::Second), nullptr);
+  // A reader polling without any lock must see the registration land.
+  std::atomic<const WireMethodInfo*> seen{nullptr};
+  std::thread reader([&] {
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (seen.load() == nullptr &&
+           std::chrono::steady_clock::now() < deadline) {
+      seen.store(reg.Find(&LateRegisteredActor::Second));
+    }
+  });
+  ASSERT_TRUE(reg.Register("wiretest.Late", &LateRegisteredActor::Second,
+                           "Late.Second")
+                  .ok());
+  reader.join();
+  const WireMethodInfo* second = reg.Find(&LateRegisteredActor::Second);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(second->name, "Late.Second");
+  EXPECT_EQ(seen.load(), second);
+  EXPECT_EQ(reg.Find(&LateRegisteredActor::First), first);
 }
 
 TEST(MethodRegistryTest, CompletenessCheckNamesUncoveredTypes) {
